@@ -11,7 +11,7 @@ import math
 
 from .errors import SizeGuardExceededError
 from .rotations import TreePair
-from .words import TreeWord, intervals, one_intervals
+from .words import TreeWord, _difficult_pairs, _interval_masks
 
 __all__ = [
     "catalan",
@@ -76,21 +76,10 @@ def enumerate_difficult_pairs(n: int, max_size: int = PAIR_GUARD) -> list:
     if n > max_size:
         raise SizeGuardExceededError(f"size {n} exceeds the census guard {max_size}")
     rows = [
-        (w, intervals(w, include_root=False), one_intervals(w))
+        (w, *_interval_masks(w, n + 1))
         for w in enumerate_trees(n, max_size=max(n, TREE_GUARD))
     ]
-    found = []
-    for s, s_has, s_makes in rows:
-        for t, t_has, t_makes in rows:
-            if s is t:
-                continue
-            if (
-                s_has.isdisjoint(t_has)
-                and s_makes.isdisjoint(t_has)
-                and t_makes.isdisjoint(s_has)
-            ):
-                found.append(TreePair(s, t))
-    return found
+    return [TreePair(s, t) for s, t in _difficult_pairs(rows, rows)]
 
 
 def primitive_pairs() -> list:

@@ -35,17 +35,32 @@ __all__ = [
 ]
 
 
+def _grown(word: str, index: int, end: int, right: bool) -> str:
+    """Grow at the node ``index`` whose subtree ends at ``end``: the node
+    becomes the left child of a new node with a fresh leaf on the right, or
+    with ``right`` the right child with the fresh leaf on the left."""
+    if right:
+        return word[:index] + "10" + word[index:]
+    return word[:index] + "1" + word[index:end] + "0" + word[end:]
+
+
+def _grown_words(word: str) -> set:
+    """Distinct words one grow step away; both sides of a leaf give one word."""
+    ends = word_scan(word).subtree_end
+    seen = set()
+    for i in range(len(word)):
+        seen.add(_grown(word, i, ends[i], False))
+        if word[i] == "1":
+            seen.add(_grown(word, i, ends[i], True))
+    return seen
+
+
 def grow(word: str, index: int, side: str = "left") -> TreeWord:
     """Grow at the node ``index``: a new node takes its place, the node becomes
     the ``side`` child, and a fresh leaf fills the other slot."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-    end = subtree_end(word, index)
-    if side == "left":
-        grown = word[:index] + "1" + word[index:end] + "0" + word[end:]
-    else:
-        grown = word[:index] + "10" + word[index:end] + word[end:]
-    return TreeWord(grown)
+    return TreeWord(_grown(word, index, subtree_end(word, index), side == "right"))
 
 
 def growth_neighbors(word: str) -> set:
@@ -55,14 +70,7 @@ def growth_neighbors(word: str) -> set:
     is why the bound is 3n + 1 rather than 2(2n + 1) and why the result is a
     set: sampling layers treat each distinct neighbor once.
     """
-    scan = word_scan(word)
-    seen = set()
-    for i in range(len(word)):
-        end = scan.subtree_end[i]
-        seen.add(word[:i] + "1" + word[i:end] + "0" + word[end:])
-        if word[i] == "1":
-            seen.add(word[:i] + "10" + word[i:end] + word[end:])
-    return {TreeWord._trusted(w) for w in seen}
+    return {TreeWord._trusted(w) for w in _grown_words(word)}
 
 
 def remy_sample(n: int, rng) -> TreeWord:
@@ -76,11 +84,7 @@ def remy_sample(n: int, rng) -> TreeWord:
     word = "0"
     for k in range(n):
         site = rng.randrange(2 * k + 1)
-        end = subtree_end(word, site)
-        if rng.randrange(2):
-            word = word[:site] + "10" + word[site:end] + word[end:]
-        else:
-            word = word[:site] + "1" + word[site:end] + "0" + word[end:]
+        word = _grown(word, site, subtree_end(word, site), rng.randrange(2))
     return TreeWord._trusted(word)
 
 
@@ -104,8 +108,7 @@ def spine_split(word: str) -> tuple:
 
 def anchor_growth(word: str) -> TreeWord:
     """Grow left at the anchor: prefix + '1' + anchor subtree + '0'."""
-    prefix, suffix = spine_split(word)
-    return TreeWord(prefix + "1" + suffix + "0")
+    return TreeWord(_grown(word, anchor_index(word), len(word), False))
 
 
 def anchor_embedding(word: str, index: int) -> int:

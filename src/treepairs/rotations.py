@@ -12,9 +12,12 @@ tests below exploit:
   exists in the other, and some shortest path starts with it;
 * a *difficult pair* admits neither, so no first move is known to be safe.
 
-``exact_distance`` is a bidirectional breadth-first search over the implicit
-rotation graph and is deliberately independent of the reduction machinery so
-each can check the other.
+``is_difficult`` runs on the packed interval masks and pair filter of
+``words``, the one production difficulty path, which the census and the
+sampler share; the set-based recomputation it is checked against lives in
+the tests.  ``exact_distance`` is a bidirectional breadth-first search over
+the implicit rotation graph and is deliberately independent of the
+reduction machinery so each can check the other.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from .errors import (
     NotInternalError,
     SizeGuardExceededError,
 )
-from .words import Interval, TreeWord, intervals, one_intervals, parse_word, word_scan
+from .words import Interval, TreeWord, intervals, parse_word, word_scan
+from .words import _created, _difficult_pairs, _interval_masks
 
 __all__ = [
     "TreePair",
@@ -85,48 +89,34 @@ def parse_pair(text: str) -> TreePair:
     return TreePair(s, t)
 
 
+def _rotated(word: str, scan, index: int) -> str:
+    """Word with the internal, non-root node ``index`` promoted over its parent.
+
+    Only the promoted node's '1' moves: a left child's reappears between its
+    two subtrees, ((a b) c) -> (a (b c)); a right child's reappears in front
+    of its sibling, (a (b c)) -> ((a b) c).
+    """
+    up = scan.parent[index]
+    if index == up + 1:
+        cut = scan.subtree_end[index + 1]
+        return word[:index] + word[index + 1 : cut] + "1" + word[cut:]
+    return word[: up + 1] + "1" + word[up + 1 : index] + word[index + 1 :]
+
+
 def rotate(word: str, index: int) -> TreeWord:
     """Word of the tree where the node at ``index`` is promoted over its parent."""
     if word[index] != "1":
         raise NotInternalError(f"cannot rotate at leaf @{index} of {word!r}")
     if index == 0:
         raise NoParentError("the root cannot be rotated")
-    scan = word_scan(word)
-    up = scan.parent[index]
-    end = scan.subtree_end[index]
-    left_end = scan.subtree_end[index + 1]
-    a = word[index + 1 : left_end]  # left subtree of the promoted node
-    b = word[left_end:end]  # right subtree of the promoted node
-    if index == up + 1:  # promoted node was a left child
-        sibling = word[end : scan.subtree_end[up]]
-        rebuilt = word[:up] + "1" + a + "1" + b + sibling + word[scan.subtree_end[up] :]
-    else:  # promoted node was a right child
-        sibling = word[up + 1 : index]
-        rebuilt = word[:up] + "11" + sibling + a + b + word[end:]
-    return TreeWord(rebuilt)
+    return TreeWord(_rotated(word, word_scan(word), index))
 
 
 @lru_cache(maxsize=65536)
 def _neighbor_words(word: str) -> tuple:
     """Sorted words one rotation away; cached because searches revisit them."""
     scan = word_scan(word)
-    out = []
-    for i in range(1, len(word)):
-        if word[i] != "1":
-            continue
-        up = scan.parent[i]
-        end = scan.subtree_end[i]
-        left_end = scan.subtree_end[i + 1]
-        a = word[i + 1 : left_end]
-        b = word[left_end:end]
-        if i == up + 1:
-            sib = word[end : scan.subtree_end[up]]
-            out.append(word[:up] + "1" + a + "1" + b + sib + word[scan.subtree_end[up] :])
-        else:
-            sib = word[up + 1 : i]
-            out.append(word[:up] + "11" + sib + a + b + word[end:])
-    out.sort()
-    return tuple(out)
+    return tuple(sorted(_rotated(word, scan, i) for i in range(1, len(word)) if word[i] == "1"))
 
 
 def rotation_neighbors(word: str) -> set:
@@ -200,35 +190,26 @@ def one_off_moves(pair) -> list:
         targets = intervals(theirs, include_root=False)
         scan = word_scan(mine)
         for i in range(1, len(mine)):
-            if mine[i] != "1":
-                continue
-            up = scan.parent[i]
-            if i == up + 1:
-                created = Interval(scan.lower[scan.subtree_end[i + 1]], scan.upper[up])
-            else:
-                created = Interval(scan.lower[up], scan.upper[i + 1])
-            if created in targets:
-                moves.append(OneOffMove(side, i, created))
+            if mine[i] == "1":
+                created = _created(scan, i)
+                if created in targets:
+                    moves.append(OneOffMove(side, i, created))
     return moves
 
 
 def is_difficult(pair) -> bool:
     """True when the pair has no common intervals and no one-off moves.
 
-    Identical trees are never difficult: there is nothing left to solve.
-    (For sizes >= 2 they share intervals anyway; the check only matters for
-    the size-1 tree, whose sole internal node is the root.)
+    Raw strings are validated (``TreeWord`` values skip the check) and trees
+    of different sizes raise ``MalformedWordError``.  Identical trees are
+    never difficult: there is nothing left to solve.
     """
-    s, t = pair
-    if s == t:
-        return False
-    mine = intervals(s, include_root=False)
-    theirs = intervals(t, include_root=False)
-    if not mine.isdisjoint(theirs):
-        return False
-    if not one_intervals(s).isdisjoint(theirs):
-        return False
-    return one_intervals(t).isdisjoint(mine)
+    s, t = (w if isinstance(w, TreeWord) else parse_word(w) for w in pair)
+    if len(s) != len(t):
+        raise MalformedWordError(f"pair members differ in size: {s} {t}")
+    stride = len(s) // 2 + 1
+    left, right = ([(w, *_interval_masks(w, stride))] for w in (s, t))
+    return bool(_difficult_pairs(left, right))
 
 
 def split_at_common(pair, common) -> tuple:

@@ -8,12 +8,13 @@ both trees left at their anchors always yields another difficult pair, so
 the loop cannot strand.
 
 The inner difficulty filter has to look at ~(3k + 1)^2 candidate pairs per
-step, so it packs each neighbor's interval set and created-interval set
+step, so each neighbor's interval set and created-interval set are packed
 into big-int bit masks (a 2-D presence table with key lower * stride +
-upper) and tests the three disjointness conditions with two integer ANDs.
-The public ``is_difficult`` predicate in ``rotations`` recomputes everything
-from the raw words through an entirely separate code path and is the oracle
-the masks are tested against.
+upper) and the three disjointness conditions cost two integer ANDs.  Those
+masks and that filter live in ``words`` and are the one production
+difficulty path: ``is_difficult`` and the census use them too.  The
+independent oracle, which recomputes interval sets from the raw words, lives
+in the tests.
 
 Sampling is deterministic per (n, seed): drive it with ``random.Random(seed)``
 (Mersenne Twister, bit-stable across platforms).  The distribution covers
@@ -27,8 +28,9 @@ import random
 
 from .census import primitive_pairs
 from .errors import NotDifficultError, SizeTooSmallError
+from .growth import _grown_words
 from .rotations import TreePair, is_difficult
-from .words import TreeWord, word_scan
+from .words import TreeWord, _difficult_pairs, _interval_masks
 
 __all__ = [
     "DEFAULT_SEED",
@@ -51,83 +53,19 @@ _STARTS = tuple(
 )
 
 
-def _interval_masks(word, stride):
-    """Pack the non-root intervals and the created intervals of ``word`` into
-    two bit masks keyed by lower * stride + upper.
-
-    One pass: when an internal node completes, its own interval bit is set
-    and the created-interval bits of its internal children follow from the
-    recorded (lower, upper, left-child-upper) triples.  ``stride`` must
-    exceed every leaf label so keys stay distinct; callers compare masks
-    only between words of equal length and stride.
-    """
-    nbytes = (stride * stride + 7) >> 3
-    has = bytearray(nbytes)
-    makes = bytearray(nbytes)
-    zeros = 0
-    stack = []  # open internal nodes: [lower, kids, first_child, second_child]
-    for symbol in word:
-        if symbol == "1":
-            stack.append([zeros, 0, None, None])
-            continue
-        done = (zeros, zeros, -1, False)  # (lower, upper, left-child-upper, internal)
-        zeros += 1
-        while stack:
-            top = stack[-1]
-            top[1] += 1
-            if top[1] == 1:
-                top[2] = done
-                break
-            top[3] = done
-            stack.pop()
-            lower = top[0]
-            upper = zeros - 1
-            key = lower * stride + upper
-            has[key >> 3] |= 1 << (key & 7)
-            left, right = top[2], done
-            if left[3]:  # rotating the left child creates (its right's lower, upper)
-                key = (left[2] + 1) * stride + upper
-                makes[key >> 3] |= 1 << (key & 7)
-            if right[3]:  # rotating the right child creates (lower, its left's upper)
-                key = lower * stride + right[2]
-                makes[key >> 3] |= 1 << (key & 7)
-            done = (lower, upper, left[1], True)
-    n = len(word) // 2
-    if n:  # the root span is shared by every tree; drop it from comparisons
-        has[n >> 3] &= 0xFF ^ (1 << (n & 7))
-    return int.from_bytes(has, "little"), int.from_bytes(makes, "little")
-
-
 def _neighbor_entries(word, stride):
     """Distinct growth neighbors of ``word`` with their masks, in lexicographic
     order: (word, interval mask, created mask)."""
-    ends = word_scan(word).subtree_end
-    seen = set()
-    for i in range(len(word)):
-        end = ends[i]
-        seen.add(word[:i] + "1" + word[i:end] + "0" + word[end:])
-        if word[i] == "1":
-            seen.add(word[:i] + "10" + word[i:end] + word[end:])
-    entries = []
-    for grown in sorted(seen):
-        has, makes = _interval_masks(grown, stride)
-        entries.append((grown, has, makes))
-    return entries
+    return [(grown, *_interval_masks(grown, stride)) for grown in sorted(_grown_words(word))]
 
 
 def _difficult_grown_pairs(s, t):
     """All difficult (U, V) over growth neighbors of s and t, in lexicographic
-    order."""
+    order; never empty for a difficult (s, t)."""
     stride = len(s) // 2 + 2  # grown trees have labels up to size + 1
-    left = _neighbor_entries(s, stride)
-    right = _neighbor_entries(t, stride)
-    found = []
-    for u_word, u_has, u_makes in left:
-        u_blocked = u_has | u_makes
-        for v_word, v_has, v_makes in right:
-            if u_blocked & v_has or v_makes & u_has:
-                continue
-            found.append((u_word, v_word))
+    found = _difficult_pairs(_neighbor_entries(s, stride), _neighbor_entries(t, stride))
+    if not found:
+        raise RuntimeError("difficult pair has no difficult grown pair; growth closure is broken")
     return found
 
 
@@ -142,11 +80,7 @@ def pair_choices(pair) -> list:
     if not is_difficult(pair):
         raise NotDifficultError(f"({pair[0]}, {pair[1]}) is not a difficult pair")
     found = _difficult_grown_pairs(str(pair[0]), str(pair[1]))
-    if not found:
-        raise RuntimeError(
-            "difficult pair has no difficult grown pair; growth closure is broken"
-        )
-    return [TreePair(TreeWord(u), TreeWord(v)) for u, v in found]
+    return [TreePair(TreeWord._trusted(u), TreeWord._trusted(v)) for u, v in found]
 
 
 def _sample(n, rng):
@@ -156,10 +90,6 @@ def _sample(n, rng):
     counts = []
     for _ in range(n - MIN_SIZE):
         found = _difficult_grown_pairs(s, t)
-        if not found:
-            raise RuntimeError(
-                "difficult pair has no difficult grown pair; growth closure is broken"
-            )
         counts.append(len(found))
         s, t = found[rng.randrange(len(found))]
     return TreePair(TreeWord._trusted(s), TreeWord._trusted(t)), counts

@@ -6,6 +6,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .census import PAIR_GUARD, enumerate_difficult_pairs
 from .growth import remy_sample
@@ -13,6 +14,11 @@ from .rotations import reduce_pair
 from .sampling import sample_difficult_pair
 
 __all__ = ["CoverageReport", "ReductionProfile", "coverage_report", "reduction_profile"]
+
+
+@lru_cache(maxsize=PAIR_GUARD + 1)
+def _universe(n):
+    return len(enumerate_difficult_pairs(n))  # fixed per size: count it once per process
 
 
 def _nearest_rank(sorted_values, q):
@@ -88,7 +94,7 @@ def coverage_report(n: int, samples: int, rng) -> CoverageReport:
         max_min = counts[-1] / counts[0]
     else:
         q3_q1 = max_min = None
-    universe = len(enumerate_difficult_pairs(n)) if n <= PAIR_GUARD else None
+    universe = _universe(n) if n <= PAIR_GUARD else None
     return CoverageReport(
         n=n,
         samples=samples,

@@ -12,6 +12,8 @@ Everything here is an immutable value and every function is pure, so the
 whole module is safe for unrestricted concurrent use.  Queries run off a
 single left-to-right scan of the word (``word_scan``) that yields parents,
 subtree extents and interval bounds for every node in one linear pass.
+Difficulty tests read two packed bit masks per word (``_interval_masks``)
+through one pair filter (``_difficult_pairs``) instead.
 """
 
 from __future__ import annotations
@@ -189,28 +191,84 @@ def intervals(word: str, include_root: bool = True) -> frozenset:
     )
 
 
-def one_interval_of(word: str, index: int) -> Interval:
-    """Interval created by rotating at the (internal, non-root) node ``index``."""
-    _require_internal(word, index)
-    if index == 0:
-        raise NoParentError("the root cannot be rotated")
-    scan = word_scan(word)
+def _created(scan: WordScan, index: int) -> Interval:
+    """Interval created by rotating the internal, non-root node ``index``."""
     up = scan.parent[index]
     if index == up + 1:  # left child: spans from its right child to its parent
         return Interval(scan.lower[scan.subtree_end[index + 1]], scan.upper[up])
     return Interval(scan.lower[up], scan.upper[index + 1])
 
 
+def one_interval_of(word: str, index: int) -> Interval:
+    """Interval created by rotating at the (internal, non-root) node ``index``."""
+    _require_internal(word, index)
+    if index == 0:
+        raise NoParentError("the root cannot be rotated")
+    return _created(word_scan(word), index)
+
+
 def one_intervals(word: str) -> frozenset:
     """Intervals creatable by a single rotation; one per non-root internal node."""
     scan = word_scan(word)
-    created = set()
-    for i in range(1, len(word)):
-        if word[i] != "1":
+    return frozenset(_created(scan, i) for i in range(1, len(word)) if word[i] == "1")
+
+
+def _interval_masks(word, stride):
+    """Pack the non-root intervals and the created intervals of ``word`` into
+    two bit masks keyed by lower * stride + upper, for ``_difficult_pairs``.
+
+    One pass: when an internal node completes, its own interval bit is set
+    and the created-interval bits of its internal children follow from the
+    recorded (lower, upper, left-child-upper) triples.  ``stride`` must
+    exceed every leaf label so keys stay distinct; callers compare masks
+    only between words of equal length and stride.
+    """
+    nbytes = (stride * stride + 7) >> 3
+    has = bytearray(nbytes)
+    makes = bytearray(nbytes)
+    zeros = 0
+    stack = []  # open internal nodes: [lower, kids, first_child, second_child]
+    for symbol in word:
+        if symbol == "1":
+            stack.append([zeros, 0, None, None])
             continue
-        up = scan.parent[i]
-        if i == up + 1:
-            created.add(Interval(scan.lower[scan.subtree_end[i + 1]], scan.upper[up]))
-        else:
-            created.add(Interval(scan.lower[up], scan.upper[i + 1]))
-    return frozenset(created)
+        done = (zeros, zeros, -1, False)  # (lower, upper, left-child-upper, internal)
+        zeros += 1
+        while stack:
+            top = stack[-1]
+            top[1] += 1
+            if top[1] == 1:
+                top[2] = done
+                break
+            top[3] = done
+            stack.pop()
+            lower = top[0]
+            upper = zeros - 1
+            key = lower * stride + upper
+            has[key >> 3] |= 1 << (key & 7)
+            left, right = top[2], done
+            if left[3]:  # rotating the left child creates (its right's lower, upper)
+                key = (left[2] + 1) * stride + upper
+                makes[key >> 3] |= 1 << (key & 7)
+            if right[3]:  # rotating the right child creates (lower, its left's upper)
+                key = lower * stride + right[2]
+                makes[key >> 3] |= 1 << (key & 7)
+            done = (lower, upper, left[1], True)
+    n = len(word) // 2
+    if n:  # the root span is shared by every tree; drop it from comparisons
+        has[n >> 3] &= 0xFF ^ (1 << (n & 7))
+    return int.from_bytes(has, "little"), int.from_bytes(makes, "little")
+
+
+def _difficult_pairs(left, right):
+    """Every difficult (u, v) over two lists of (word, has, makes) rows, in
+    row order: no common interval, no interval of one side creatable in the
+    other, and u != v.  Two integer ANDs per pair."""
+    found = []
+    for u_word, u_has, u_makes in left:
+        u_blocked = u_has | u_makes
+        for v_word, v_has, v_makes in right:
+            if u_blocked & v_has or v_makes & u_has or u_word == v_word:
+                continue
+            found.append((u_word, v_word))
+    return found

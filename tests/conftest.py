@@ -2,10 +2,25 @@ import random
 
 from hypothesis import settings, strategies as st
 
-from treepairs import remy_sample
+from treepairs import intervals, one_intervals, remy_sample
 
 settings.register_profile("pkg", deadline=None)
 settings.load_profile("pkg")
+
+
+def difficult_by_recomputation(s, t):
+    """Difficulty recomputed from interval and created-interval sets of the
+    raw words: the oracle for the packed masks that ``is_difficult``, the
+    census and the sampler share."""
+    if s == t:
+        return False
+    s_has = intervals(s, include_root=False)
+    t_has = intervals(t, include_root=False)
+    return (
+        s_has.isdisjoint(t_has)
+        and one_intervals(s).isdisjoint(t_has)
+        and one_intervals(t).isdisjoint(s_has)
+    )
 
 
 @st.composite

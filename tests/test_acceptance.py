@@ -9,6 +9,7 @@ import random
 import time
 from collections import Counter
 
+from conftest import difficult_by_recomputation
 from treepairs import (
     anchor_growth,
     anchor_index,
@@ -33,20 +34,6 @@ from treepairs.cli import main
 
 def announce(number, detail):
     print(f"CRITERION {number}: PASS ({detail})")
-
-
-def difficult_by_recomputation(s, t):
-    # recomputes interval and created-interval sets straight from the words,
-    # independently of the sampler's internal bitmask filter
-    if s == t:
-        return False
-    s_has = intervals(s, include_root=False)
-    t_has = intervals(t, include_root=False)
-    return (
-        s_has.isdisjoint(t_has)
-        and one_intervals(s).isdisjoint(t_has)
-        and one_intervals(t).isdisjoint(s_has)
-    )
 
 
 def test_c01_primitive_census():

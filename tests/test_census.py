@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import difficult_by_recomputation
 from treepairs import (
     SizeGuardExceededError,
     anchor_growth,
@@ -52,13 +53,13 @@ class TestDifficultCensus:
     def test_all_members_difficult_and_ordered(self):
         pairs = enumerate_difficult_pairs(5)
         assert pairs == sorted(pairs)
-        assert all(is_difficult(p) for p in pairs)
+        assert all(difficult_by_recomputation(*p) for p in pairs)
 
     @pytest.mark.parametrize("n", [1, 4, 5])
     def test_census_is_complete(self, n):
         trees = enumerate_trees(n)
         expected = [
-            (s, t) for s in trees for t in trees if is_difficult((s, t))
+            (s, t) for s in trees for t in trees if difficult_by_recomputation(s, t)
         ]
         assert [tuple(p) for p in enumerate_difficult_pairs(n)] == expected
 

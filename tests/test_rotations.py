@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import tree_pairs, tree_words
+from conftest import difficult_by_recomputation, tree_pairs, tree_words
 from treepairs import (
     MalformedWordError,
     NoParentError,
@@ -12,6 +12,7 @@ from treepairs import (
     TreePair,
     common_intervals,
     exact_distance,
+    growth_neighbors,
     interval_of,
     intervals,
     is_difficult,
@@ -22,6 +23,7 @@ from treepairs import (
     remy_sample,
     rotate,
     rotation_neighbors,
+    sample_difficult_pair,
     split_at_common,
 )
 
@@ -126,6 +128,30 @@ class TestPairPredicates:
     def test_difficulty_is_symmetric(self, pair):
         s, t = pair
         assert is_difficult((s, t)) == is_difficult((t, s))
+
+    @given(st.integers(4, 8), st.integers(0, 2**32 - 1))
+    def test_difficulty_matches_recomputation(self, n, seed):
+        # grown neighbors of a difficult pair mix difficult and reducible pairs
+        s, t = sample_difficult_pair(n, random.Random(seed))
+        verdicts = set()
+        for u in growth_neighbors(s):
+            for v in growth_neighbors(t):
+                verdict = difficult_by_recomputation(u, v)
+                assert is_difficult((str(u), v)) == verdict
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_rejects_invalid_symbols(self):
+        with pytest.raises(MalformedWordError):
+            is_difficult(("1x0", "10x"))
+
+    def test_rejects_size_mismatch(self):
+        with pytest.raises(MalformedWordError):
+            is_difficult(("1" * 20 + "0" * 21, "100"))
+
+    def test_rejects_junk_text(self):
+        with pytest.raises(MalformedWordError):
+            is_difficult(("abc", "abc d"))
 
 
 class TestSplitAndReduce:

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import tree_words
+from conftest import difficult_by_recomputation, tree_words
 from treepairs import (
     NotDifficultError,
     SizeTooSmallError,
@@ -16,7 +16,8 @@ from treepairs import (
     sample_difficult_pair,
     sample_with_choice_counts,
 )
-from treepairs.sampling import _STARTS, _interval_masks
+from treepairs.sampling import _STARTS
+from treepairs.words import _interval_masks
 
 
 def _mask_to_set(mask, stride):
@@ -67,7 +68,7 @@ class TestPairChoices:
         assert len(found) <= (3 * n + 1) ** 2
         for u, v in found:
             assert len(u) == len(pair.s) + 2
-            assert is_difficult((u, v))
+            assert difficult_by_recomputation(u, v)
 
 
 @given(st.integers(4, 8), st.integers(0, 2**32 - 1))
@@ -79,7 +80,7 @@ def test_choices_match_brute_force(n, seed):
         (u, v)
         for u in growth_neighbors(pair.s)
         for v in growth_neighbors(pair.t)
-        if is_difficult((u, v))
+        if difficult_by_recomputation(u, v)
     }
     assert {tuple(c) for c in pair_choices(pair)} == brute
 
