@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
 Data goes to stdout, diagnostics to stderr.  Exit status: 0 on success, 1 on
-a domain error (malformed word, size guard, size too small), 2 on a usage
-error.  Every command is deterministic for a fixed argument vector; sampling
-commands default to seed 0 rather than the clock.
+a domain error (malformed word, size guard, size too small) or an unreadable
+file, 2 on a usage error.  Every command is deterministic for a fixed
+argument vector; sampling commands default to seed 0 rather than the clock.
 """
 
 from __future__ import annotations
@@ -123,6 +123,17 @@ def _cmd_coverage(args):
     return 0
 
 
+def _positive_int(text):
+    """argparse type for counts and sizes; anything below 1 is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="treepairs",
@@ -131,8 +142,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw difficult pairs of a given size")
-    p.add_argument("--size", type=int, required=True, help="tree size n (>= 4)")
-    p.add_argument("--count", type=int, default=1, help="number of pairs")
+    p.add_argument("--size", type=_positive_int, required=True, help="tree size n (>= 4)")
+    p.add_argument("--count", type=_positive_int, default=1, help="number of pairs")
     p.add_argument(
         "--seed",
         type=int,
@@ -170,8 +181,8 @@ def _build_parser():
     p.set_defaults(func=_cmd_neighbors)
 
     p = sub.add_parser("coverage", help="sampling coverage report at one size")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--size", type=_positive_int, required=True)
+    p.add_argument("--samples", type=_positive_int, required=True)
     p.add_argument(
         "--seed", type=int, default=DEFAULT_SEED, help=f"(default: {DEFAULT_SEED})"
     )
@@ -186,7 +197,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TreePairError, ValueError) as exc:
+    except (TreePairError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

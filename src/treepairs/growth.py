@@ -21,8 +21,8 @@ platform.  Share nothing else: one generator per thread.
 
 from __future__ import annotations
 
-from .errors import NotInternalError
-from .words import TreeWord, subtree_end, word_scan
+from .errors import MalformedWordError, NotInternalError
+from .words import TreeWord, _created, _interval_masks, subtree_end, word_scan
 
 __all__ = [
     "grow",
@@ -44,15 +44,88 @@ def _grown(word: str, index: int, end: int, right: bool) -> str:
     return word[:index] + "1" + word[index:end] + "0" + word[end:]
 
 
-def _grown_words(word: str) -> set:
-    """Distinct words one grow step away; both sides of a leaf give one word."""
-    ends = word_scan(word).subtree_end
-    seen = set()
-    for i in range(len(word)):
-        seen.add(_grown(word, i, ends[i], False))
+def _grow_sites(word: str, ends) -> list:
+    """Every grow site of ``word`` as (index, subtree end, right); a leaf
+    grows on the left only, since both of its sides give one word."""
+    sites = []
+    for i, end in enumerate(ends):
+        sites.append((i, end, False))
         if word[i] == "1":
-            seen.add(_grown(word, i, ends[i], True))
-    return seen
+            sites.append((i, end, True))
+    return sites
+
+
+def _grown_rows(words, stride) -> list:
+    """For each of ``words``, the (grown word, has, makes) rows of its distinct
+    growth neighbors in lexicographic order, with the masks that
+    ``_interval_masks(grown, stride)`` would build.
+
+    Only the given words are masked from scratch.  Growing at a node v with
+    interval [a, b] relabels the other nodes' intervals and created intervals
+    region by region of the packed table (rows are lower bounds, columns
+    upper bounds): bits in ``stay`` keep their key, bits in ``step`` move one
+    column right, and every other bit moves one row and one column.  Then
+    only the new node's interval and the created intervals of v and the new
+    node change.  A created interval crosses exactly one tree interval, so no
+    two nodes share a created bit and clearing v's old one is safe.
+    """
+    rows = max(len(w) for w in words) // 2 + 2  # grown words have labels up to size + 1
+    lift = stride + 1
+    full = (1 << stride) - 1
+    repeat = [0]  # repeat[c]: column 0 of every row < c
+    for r in range(rows):
+        repeat.append(repeat[-1] | 1 << r * stride)
+    beyond = [repeat[c] * (full ^ ((1 << c) - 1)) for c in range(rows)]  # rows < c, columns >= c
+    inside = [((1 << c * stride) - 1) ^ beyond[c] for c in range(rows)]  # rows < c, columns < c
+    found = []
+    for word in words:
+        scan = word_scan(word)
+        parent, ends, lower, upper = scan
+        has, makes = _interval_masks(word, stride)
+        k = len(word) // 2
+        entries = {}
+        for i, end, right in _grow_sites(word, ends):
+            grown = _grown(word, i, end, right)
+            if grown in entries:
+                continue
+            a, b = lower[i], upper[i]
+            internal = word[i] == "1"
+            if right:  # fresh leaf a: labels >= a shift; in row a only spans past b keep lower a
+                step = beyond[a] | full >> b + 1 << a * stride + b + 1
+                stay = inside[a]
+            else:  # fresh leaf b + 1: labels > b shift, and so do v's ancestors ending at b
+                column = repeat[a] << b
+                step = beyond[b + 1] | column
+                stay = inside[b + 1] ^ column
+            made = makes
+            if internal and i:
+                old = _created(scan, i)
+                made ^= 1 << old.lower * stride + old.upper
+            masks = []
+            for mask in has, made:
+                kept = mask & stay
+                moved = mask & step
+                masks.append(kept | moved << 1 | (mask ^ kept ^ moved) << lift)
+            new_has, new_makes = masks
+            if i:  # the new node [a, b + 1] takes v's place below v's parent p
+                p = parent[i]
+                new_has |= 1 << a * stride + b + 1
+                if i == p + 1:
+                    key = (a + 1 if right else b + 1) * stride + upper[p] + 1
+                else:
+                    key = lower[p] * stride + (a if right else b)
+                new_makes |= 1 << key
+            elif internal:  # the old root is now a child, and its span counts
+                new_has |= 1 << (stride + k + 1 if right else k)
+            if internal:
+                if right:
+                    key = a * stride + upper[i + 1] + 1
+                else:
+                    key = lower[ends[i + 1]] * stride + b + 1
+                new_makes |= 1 << key
+            entries[grown] = (grown, new_has, new_makes)
+        found.append(sorted(entries.values()))
+    return found
 
 
 def grow(word: str, index: int, side: str = "left") -> TreeWord:
@@ -60,6 +133,8 @@ def grow(word: str, index: int, side: str = "left") -> TreeWord:
     the ``side`` child, and a fresh leaf fills the other slot."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+    if not 0 <= index < len(word):
+        raise MalformedWordError(f"no node @{index} in {word!r}")
     return TreeWord(_grown(word, index, subtree_end(word, index), side == "right"))
 
 
@@ -70,7 +145,8 @@ def growth_neighbors(word: str) -> set:
     is why the bound is 3n + 1 rather than 2(2n + 1) and why the result is a
     set: sampling layers treat each distinct neighbor once.
     """
-    return {TreeWord._trusted(w) for w in _grown_words(word)}
+    sites = _grow_sites(word, word_scan(word).subtree_end)
+    return {TreeWord._trusted(_grown(word, *site)) for site in sites}
 
 
 def remy_sample(n: int, rng) -> TreeWord:

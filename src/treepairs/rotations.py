@@ -105,6 +105,8 @@ def _rotated(word: str, scan, index: int) -> str:
 
 def rotate(word: str, index: int) -> TreeWord:
     """Word of the tree where the node at ``index`` is promoted over its parent."""
+    if not 0 <= index < len(word):
+        raise NotInternalError(f"no node @{index} in {word!r}")
     if word[index] != "1":
         raise NotInternalError(f"cannot rotate at leaf @{index} of {word!r}")
     if index == 0:
@@ -197,6 +199,16 @@ def one_off_moves(pair) -> list:
     return moves
 
 
+def _checked_pair(pair) -> tuple:
+    """The two words of ``pair``: raw strings are validated (``TreeWord``
+    values skip the check), and trees of different sizes raise
+    ``MalformedWordError``."""
+    s, t = (w if isinstance(w, TreeWord) else parse_word(w) for w in pair)
+    if len(s) != len(t):
+        raise MalformedWordError(f"pair members differ in size: {s} {t}")
+    return s, t
+
+
 def is_difficult(pair) -> bool:
     """True when the pair has no common intervals and no one-off moves.
 
@@ -204,9 +216,7 @@ def is_difficult(pair) -> bool:
     of different sizes raise ``MalformedWordError``.  Identical trees are
     never difficult: there is nothing left to solve.
     """
-    s, t = (w if isinstance(w, TreeWord) else parse_word(w) for w in pair)
-    if len(s) != len(t):
-        raise MalformedWordError(f"pair members differ in size: {s} {t}")
+    s, t = _checked_pair(pair)
     stride = len(s) // 2 + 1
     left, right = ([(w, *_interval_masks(w, stride))] for w in (s, t))
     return bool(_difficult_pairs(left, right))
@@ -248,10 +258,12 @@ def reduce_pair(pair) -> ReductionResult:
     flips and the lexicographically smallest common interval is used first,
     so the outcome is deterministic.  The exact distance of the input equals
     ``forced_moves`` plus the sum of exact distances of the components.
+    The input is checked once on entry, as ``is_difficult`` checks it.
     """
+    s, t = _checked_pair(pair)
     forced = 0
     components = []
-    queue = deque([(str(pair[0]), str(pair[1]))])
+    queue = deque([(str(s), str(t))])
     while queue:
         s, t = queue.popleft()
         if s == t:

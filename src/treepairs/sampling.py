@@ -12,9 +12,13 @@ step, so each neighbor's interval set and created-interval set are packed
 into big-int bit masks (a 2-D presence table with key lower * stride +
 upper) and the three disjointness conditions cost two integer ANDs.  Those
 masks and that filter live in ``words`` and are the one production
-difficulty path: ``is_difficult`` and the census use them too.  The
-independent oracle, which recomputes interval sets from the raw words, lives
-in the tests.
+difficulty path: ``is_difficult`` and the census use them too.  A step scans
+the two parent words once and derives every grown neighbor's masks from the
+parent's by relabeling (``growth._grown_rows``), so no grown word is
+rescanned; ``words._interval_masks`` stays the one from-scratch builder,
+used by ``is_difficult``, the census and the parents, and a property test
+holds the derived masks against it.  The independent oracle, which
+recomputes interval sets from the raw words, lives in the tests.
 
 Sampling is deterministic per (n, seed): drive it with ``random.Random(seed)``
 (Mersenne Twister, bit-stable across platforms).  The distribution covers
@@ -28,9 +32,9 @@ import random
 
 from .census import primitive_pairs
 from .errors import NotDifficultError, SizeTooSmallError
-from .growth import _grown_words
+from .growth import _grown_rows
 from .rotations import TreePair, is_difficult
-from .words import TreeWord, _difficult_pairs, _interval_masks
+from .words import TreeWord, _difficult_pairs
 
 __all__ = [
     "DEFAULT_SEED",
@@ -53,17 +57,11 @@ _STARTS = tuple(
 )
 
 
-def _neighbor_entries(word, stride):
-    """Distinct growth neighbors of ``word`` with their masks, in lexicographic
-    order: (word, interval mask, created mask)."""
-    return [(grown, *_interval_masks(grown, stride)) for grown in sorted(_grown_words(word))]
-
-
 def _difficult_grown_pairs(s, t):
     """All difficult (U, V) over growth neighbors of s and t, in lexicographic
     order; never empty for a difficult (s, t)."""
     stride = len(s) // 2 + 2  # grown trees have labels up to size + 1
-    found = _difficult_pairs(_neighbor_entries(s, stride), _neighbor_entries(t, stride))
+    found = _difficult_pairs(*_grown_rows((s, t), stride))
     if not found:
         raise RuntimeError("difficult pair has no difficult grown pair; growth closure is broken")
     return found

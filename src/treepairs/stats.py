@@ -10,7 +10,7 @@ from functools import lru_cache
 
 from .census import PAIR_GUARD, enumerate_difficult_pairs
 from .growth import remy_sample
-from .rotations import reduce_pair
+from .rotations import TreePair, reduce_pair
 from .sampling import sample_difficult_pair
 
 __all__ = ["CoverageReport", "ReductionProfile", "coverage_report", "reduction_profile"]
@@ -84,10 +84,17 @@ class CoverageReport:
 
 
 def coverage_report(n: int, samples: int, rng) -> CoverageReport:
-    """Draw ``samples`` difficult pairs of size ``n`` and tally them."""
+    """Draw ``samples`` difficult pairs of size ``n`` and tally them.
+
+    The tally keys are pairs of plain ``str`` words with one object per
+    distinct word: a ``TreeWord`` takes about twice the memory of a ``str``,
+    and callers may keep many reports.
+    """
     frequencies = Counter()
+    words = {}
     for _ in range(samples):
-        frequencies[sample_difficult_pair(n, rng)] += 1
+        s, t = (words.setdefault(w, str(w)) for w in sample_difficult_pair(n, rng))
+        frequencies[TreePair(s, t)] += 1
     counts = sorted(frequencies.values())
     if counts:
         q3_q1 = _nearest_rank(counts, 0.75) / _nearest_rank(counts, 0.25)

@@ -50,6 +50,11 @@ class TestCheck:
         assert lines[0].endswith("not difficult: one-off (S,@1)->(1,2)")
         assert lines[1] == "101011000 111010000: difficult"
 
+    def test_missing_file_is_an_error_not_a_traceback(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "check", "--file", str(tmp_path / "missing.txt"))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "missing.txt" in err
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(capsys, "check")
         assert code == 2 and "error" in err
@@ -137,6 +142,20 @@ class TestSample:
         code, _, err = run_cli(capsys, "sample", "--size", "3", "--count", "1", "--seed", "0")
         assert code == 1
         assert "size must be >= 4" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--size", "5", "--count", "-2"],
+            ["sample", "--size", "0"],
+            ["coverage", "--size", "5", "--samples", "0"],
+        ],
+    )
+    def test_non_positive_count_or_size_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as info:

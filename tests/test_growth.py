@@ -6,6 +6,7 @@ from hypothesis import given
 
 from conftest import tree_words
 from treepairs import (
+    MalformedWordError,
     NotInternalError,
     anchor_embedding,
     anchor_growth,
@@ -38,6 +39,10 @@ class TestGrow:
     def test_bad_side(self):
         with pytest.raises(ValueError):
             grow("100", 0, "up")
+
+    def test_negative_index_is_rejected(self):
+        with pytest.raises(MalformedWordError, match="@-1"):
+            grow("100", -1)
 
     def test_neighbors_of_single_leaf(self):
         assert growth_neighbors("0") == {"100"}

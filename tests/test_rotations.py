@@ -8,6 +8,7 @@ from treepairs import (
     MalformedWordError,
     NoParentError,
     NotCommonError,
+    NotInternalError,
     SizeGuardExceededError,
     TreePair,
     common_intervals,
@@ -38,6 +39,14 @@ class TestRotate:
     def test_root_is_fixed(self):
         with pytest.raises(NoParentError):
             rotate("100", 0)
+
+    def test_negative_index_naming_the_root_is_rejected(self):
+        with pytest.raises(NotInternalError, match="@-7"):
+            rotate("1101000", -7)
+
+    def test_negative_index_naming_an_internal_node_is_rejected(self):
+        with pytest.raises(NotInternalError, match="@-6"):
+            rotate("1101000", -6)
 
     def test_neighbor_sets(self):
         assert rotation_neighbors("100") == set()
@@ -175,6 +184,14 @@ class TestSplitAndReduce:
     def test_reduce_with_one_forced_move(self):
         outcome = reduce_pair(("1100100", "1110000"))
         assert outcome.forced_moves == 1 and outcome.components == []
+
+    def test_reduce_rejects_size_mismatch(self):
+        with pytest.raises(MalformedWordError):
+            reduce_pair(("100", "10100"))
+
+    def test_reduce_rejects_malformed_words(self):
+        with pytest.raises(MalformedWordError):
+            reduce_pair(("110", "101"))
 
     def test_difficult_pairs_are_fixed_points(self):
         pair = TreePair("101011000", "111010000")

@@ -1,13 +1,15 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import difficult_by_recomputation, tree_words
 from treepairs import (
     NotDifficultError,
     SizeTooSmallError,
+    TreeWord,
     anchor_growth,
+    growth_neighbors,
     intervals,
     is_difficult,
     one_intervals,
@@ -16,6 +18,7 @@ from treepairs import (
     sample_difficult_pair,
     sample_with_choice_counts,
 )
+from treepairs.growth import _grown_rows
 from treepairs.sampling import _STARTS
 from treepairs.words import _interval_masks
 
@@ -37,6 +40,17 @@ def test_masks_agree_with_interval_sets(word, pad):
     has, makes = _interval_masks(word, stride)
     assert _mask_to_set(has, stride) == {tuple(b) for b in intervals(word, include_root=False)}
     assert _mask_to_set(makes, stride) == {tuple(b) for b in one_intervals(word)}
+
+
+@given(tree_words(min_size=0, max_size=25), tree_words(min_size=0, max_size=25), st.integers(0, 3))
+@example(TreeWord("0"), TreeWord("100"), 0)
+def test_grown_rows_equal_masks_built_from_scratch(word, other, pad):
+    # the grown words have labels up to the larger size + 1
+    stride = max(word.size, other.size) + 2 + pad
+    derived = _grown_rows([word, other], stride)
+    for parent, rows in zip((word, other), derived):
+        grown = sorted(growth_neighbors(parent))
+        assert rows == [(g, *_interval_masks(g, stride)) for g in grown]
 
 
 class TestStartTable:

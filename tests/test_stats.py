@@ -34,6 +34,12 @@ class TestCoverage:
         b = coverage_report(6, 200, random.Random(11))
         assert a.frequencies == b.frequencies
 
+    def test_keys_hold_one_plain_str_per_distinct_word(self):
+        report = coverage_report(6, 300, random.Random(2))
+        words = [word for pair in report.frequencies for word in pair]
+        assert all(type(word) is str for word in words)
+        assert len({id(word) for word in words}) == len(set(words)) < len(words)
+
     def test_universe_unknown_beyond_guard(self):
         report = coverage_report(9, 5, random.Random(0))
         assert report.universe is None
