@@ -13,14 +13,18 @@ import random
 import pytest
 
 from treepairs import (
+    common_intervals,
+    enumerate_trees,
     growth_neighbors,
     is_difficult,
+    one_off_moves,
     pair_choices,
     primitive_pairs,
     reduce_pair,
     remy_sample,
     rotation_neighbors,
     sample_difficult_pair,
+    split_at_common,
 )
 from treepairs.cli import main
 
@@ -88,12 +92,43 @@ def _verdicts():
     return lines
 
 
+def _remy_pairs():
+    # the stream holds three trees per size: pair each with the next, cyclically
+    stream = _remy_stream()
+    return [
+        (stream[k + i], stream[k + (i + 1) % 3]) for k in range(0, len(stream), 3) for i in range(3)
+    ]
+
+
+def _pair_rules():
+    # the three public reduction rules, as reduce_pair's replay calls them
+    lines = []
+    for s, t in _remy_pairs():
+        commons = sorted(common_intervals((s, t)))
+        lines.append(f"# {s} {t} " + " ".join(f"{lo},{hi}" for lo, hi in commons))
+        lines.extend(f"{side} {node} {lo},{hi}" for side, node, (lo, hi) in one_off_moves((s, t)))
+        for common in commons:
+            inner, outer = split_at_common((s, t), common)
+            lines.append(f"{inner.s} {inner.t} {outer.s} {outer.t}")
+    return lines
+
+
+def _check_pairs():
+    trees = enumerate_trees(4)
+    pairs = [(s, t) for s in trees for t in trees]
+    for n in (4, 7):
+        s, t = sample_difficult_pair(n, random.Random(n))
+        pairs += [(u, v) for u in sorted(growth_neighbors(s)) for v in sorted(growth_neighbors(t))]
+    return pairs
+
+
 LIBRARY_DIGESTS = {
     "remy_sample": (_remy_stream, "26d8c861bdbc162ed4618a6f450cb6d781b4035fd473fca21644f763f8bfd544"),
     "reduce_pair": (_reductions, "48b153153814d4313cce6b348ef7591fb1debc059373983a0b2023c53d1d734f"),
     "pair_choices": (_choices, "8b73497cd40abe707a19386fb979a79abf69af5b77a8f3a1a67d0ad3ce627be5"),
     "neighbors": (_neighbors, "6d39e13203857e43d46f5a388e5249fd2c4dbc3622afa8020190c3bc03ac41b0"),
     "is_difficult": (_verdicts, "8444846a1eda8fa8b20eaa6811a2b82c3450f1be95b1bba8daeede7e84b9ebaa"),
+    "pair_rules": (_pair_rules, "d75372367988d98d8b6d3d3642483921e72246098621b7cb25d75b1cb2c0eff6"),
 }
 
 
@@ -102,6 +137,17 @@ def test_cli_output_is_pinned(argv, capsys):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGESTS[argv]
+
+
+CHECK_DIGEST = "a26f32716807406cc07e33fca1a61bf10288c4f1fb0b544697344fbdd2440856"
+
+
+def test_check_witnesses_are_pinned(capsys, tmp_path):
+    listing = tmp_path / "pairs.txt"
+    listing.write_text("".join(f"{s} {t}\n" for s, t in _check_pairs()))
+    assert main(["check", "--file", str(listing)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_DIGEST
 
 
 @pytest.mark.parametrize("name", list(LIBRARY_DIGESTS))
