@@ -14,16 +14,10 @@ import random
 import sys
 
 from .census import enumerate_difficult_pairs, enumerate_trees
-from .errors import TreePairError
+from .errors import MalformedWordError, TreePairError
 from .growth import growth_neighbors
-from .rotations import (
-    common_intervals,
-    exact_distance,
-    one_off_moves,
-    parse_pair,
-    reduce_pair,
-    rotation_neighbors,
-)
+from .rotations import OneOffMove, exact_distance, parse_pair, reduce_pair, rotation_neighbors
+from .rotations import _reduction
 from .sampling import DEFAULT_SEED, sample_difficult_pair
 from .stats import coverage_report
 from .words import parse_word
@@ -43,25 +37,27 @@ def _cmd_sample(args):
 
 
 def _verdict(pair):
-    if pair.s == pair.t:
-        return "not difficult: identical"
-    commons = common_intervals(pair)
-    if commons:
-        lo, hi = min(commons)
-        return f"not difficult: common ({lo},{hi})"
-    moves = one_off_moves(pair)
-    if moves:
-        side, node, (lo, hi) = moves[0]
+    witness, pieces = _reduction(*pair)
+    if witness is None:
+        return "difficult" if pieces else "not difficult: identical"
+    if isinstance(witness, OneOffMove):
+        side, node, (lo, hi) = witness
         return f"not difficult: one-off ({side},@{node})->({lo},{hi})"
-    return "difficult"
+    return "not difficult: common ({},{})".format(*witness)
 
 
-def _pair_lines(path):
+def _file_pairs(path):
+    """Every pair of a pair file, all parsed before any is checked."""
+    pairs = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if line and not line.startswith("#"):
-                yield line
+                try:
+                    pairs.append(parse_pair(line))
+                except MalformedWordError as exc:
+                    raise MalformedWordError(f"{path}:{number}: {exc}") from None
+    return pairs
 
 
 def _cmd_check(args):
@@ -71,8 +67,7 @@ def _cmd_check(args):
     if args.pair is not None:
         print(_verdict(parse_pair(args.pair)))
         return 0
-    for line in _pair_lines(args.file):
-        pair = parse_pair(line)
+    for pair in _file_pairs(args.file):
         print(f"{pair.s} {pair.t}: {_verdict(pair)}")
     return 0
 

@@ -21,8 +21,8 @@ platform.  Share nothing else: one generator per thread.
 
 from __future__ import annotations
 
-from .errors import MalformedWordError, NotInternalError
-from .words import TreeWord, _created, _interval_masks, subtree_end, word_scan
+from .errors import NotInternalError
+from .words import TreeWord, _created, _interval_masks, _require_node, subtree_end, word_scan
 
 __all__ = [
     "grow",
@@ -133,8 +133,6 @@ def grow(word: str, index: int, side: str = "left") -> TreeWord:
     the ``side`` child, and a fresh leaf fills the other slot."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-    if not 0 <= index < len(word):
-        raise MalformedWordError(f"no node @{index} in {word!r}")
     return TreeWord(_grown(word, index, subtree_end(word, index), side == "right"))
 
 
@@ -194,5 +192,6 @@ def anchor_embedding(word: str, index: int) -> int:
     after it shift one place right, past the inserted '1'.  The symbol at
     the image always equals the symbol at the source.
     """
+    _require_node(word, index)
     cut = anchor_index(word)
     return index + 1 if index >= cut else index

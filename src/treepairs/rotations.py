@@ -12,30 +12,26 @@ tests below exploit:
   exists in the other, and some shortest path starts with it;
 * a *difficult pair* admits neither, so no first move is known to be safe.
 
-``is_difficult`` runs on the packed interval masks and pair filter of
-``words``, the one production difficulty path, which the census and the
-sampler share; the set-based recomputation it is checked against lives in
-the tests.  ``exact_distance`` is a bidirectional breadth-first search over
-the implicit rotation graph and is deliberately independent of the
-reduction machinery so each can check the other.
+``reduce_pair`` and the ``check`` command share one reduction step, which
+alone holds the rule order: identical, smallest common interval, first
+one-off move in canonical order, difficult.  It scans each word once into a
+map from non-root interval to node; ``common_intervals``, ``one_off_moves``
+and ``split_at_common`` wrap that same view and cut.  ``is_difficult`` runs
+on the packed masks and pair filter of ``words``, the one production
+difficulty path; its set-based oracle lives in the tests.  ``exact_distance``
+is a bidirectional breadth-first search, independent of the reduction
+machinery so each can check the other.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import (
-    MalformedWordError,
-    NoParentError,
-    NotCommonError,
-    NotInternalError,
-    SizeGuardExceededError,
-)
-from .words import Interval, TreeWord, intervals, parse_word, word_scan
-from .words import _created, _difficult_pairs, _interval_masks
+from .errors import MalformedWordError, NoParentError, NotCommonError, SizeGuardExceededError
+from .words import Interval, TreeWord, parse_word, word_scan
+from .words import _created, _difficult_pairs, _interval_masks, _require_internal
 
 __all__ = [
     "TreePair",
@@ -83,10 +79,7 @@ def parse_pair(text: str) -> TreePair:
     parts = text.split()
     if len(parts) != 2:
         raise MalformedWordError(f"expected two words separated by whitespace: {text!r}")
-    s, t = parse_word(parts[0]), parse_word(parts[1])
-    if len(s) != len(t):
-        raise MalformedWordError(f"pair members differ in size: {parts[0]} {parts[1]}")
-    return TreePair(s, t)
+    return TreePair(*_checked_pair(parts))
 
 
 def _rotated(word: str, scan, index: int) -> str:
@@ -105,10 +98,7 @@ def _rotated(word: str, scan, index: int) -> str:
 
 def rotate(word: str, index: int) -> TreeWord:
     """Word of the tree where the node at ``index`` is promoted over its parent."""
-    if not 0 <= index < len(word):
-        raise NotInternalError(f"no node @{index} in {word!r}")
-    if word[index] != "1":
-        raise NotInternalError(f"cannot rotate at leaf @{index} of {word!r}")
+    _require_internal(word, index)
     if index == 0:
         raise NoParentError("the root cannot be rotated")
     return TreeWord(_rotated(word, word_scan(word), index))
@@ -134,9 +124,7 @@ def exact_distance(pair, max_size: int = DISTANCE_GUARD) -> int:
     search is exhaustive, so the guard caps the pair size to keep memory at
     desk scale; raise it explicitly for bigger one-off queries.
     """
-    s, t = pair
-    if len(s) != len(t):
-        raise MalformedWordError("distance needs two trees of the same size")
+    s, t = _checked_pair(pair)
     if len(s) // 2 > max_size:
         raise SizeGuardExceededError(
             f"size {len(s) // 2} exceeds the search guard {max_size}"
@@ -174,31 +162,6 @@ def exact_distance(pair, max_size: int = DISTANCE_GUARD) -> int:
     raise MalformedWordError("trees are not connected by rotations; malformed input?")
 
 
-def common_intervals(pair) -> frozenset:
-    """Intervals (root span excluded) present in both trees of the pair."""
-    s, t = pair
-    return intervals(s, include_root=False) & intervals(t, include_root=False)
-
-
-def one_off_moves(pair) -> list:
-    """All rotations in either side whose created interval the other side has.
-
-    Moves come out in a canonical order: S side before T side, nodes by
-    word index.
-    """
-    s, t = pair
-    moves = []
-    for side, mine, theirs in (("S", s, t), ("T", t, s)):
-        targets = intervals(theirs, include_root=False)
-        scan = word_scan(mine)
-        for i in range(1, len(mine)):
-            if mine[i] == "1":
-                created = _created(scan, i)
-                if created in targets:
-                    moves.append(OneOffMove(side, i, created))
-    return moves
-
-
 def _checked_pair(pair) -> tuple:
     """The two words of ``pair``: raw strings are validated (``TreeWord``
     values skip the check), and trees of different sizes raise
@@ -207,6 +170,72 @@ def _checked_pair(pair) -> tuple:
     if len(s) != len(t):
         raise MalformedWordError(f"pair members differ in size: {s} {t}")
     return s, t
+
+
+def _view(word: str) -> tuple:
+    """(word, scan, nodes): one scan of the word and the map from each
+    non-root interval to its node, in word order."""
+    scan = word_scan(word)
+    lower, upper = scan.lower, scan.upper
+    return word, scan, {(lower[i], upper[i]): i for i in range(1, len(word)) if word[i] == "1"}
+
+
+def _moves(views):
+    """One-off moves of the (S, T) views in canonical order: S side before
+    T side, nodes by word index."""
+    for side, (_, scan, nodes), (_, _, targets) in zip("ST", views, views[::-1]):
+        for i in nodes.values():
+            created = _created(scan, i)
+            if created in targets:
+                yield OneOffMove(side, i, created)
+
+
+def _split(views, common) -> tuple:
+    """The (inner, outer) pairs of plain words left by cutting both words
+    of the (S, T) views at the interval ``common``."""
+    cuts = []
+    for word, scan, nodes in views:
+        if common not in nodes:
+            raise NotCommonError("({},{}) is not a non-root interval of {!r}".format(*common, word))
+        i = nodes[common]
+        end = scan.subtree_end[i]
+        cuts.append((word[i:end], word[:i] + "0" + word[end:]))
+    return tuple(zip(*cuts))
+
+
+def _reduction(s: str, t: str) -> tuple:
+    """The first reduction of the pair in rule order, as ``(witness, pieces)``:
+    ``(None, [])`` when identical, the smallest common ``Interval`` and the
+    split's inner and outer pairs, the first ``OneOffMove`` and the pair after
+    it, or ``(None, [(s, t)])`` when difficult.  Pieces are plain words."""
+    if s == t:
+        return None, []
+    views = _view(s), _view(t)
+    commons = views[0][2].keys() & views[1][2].keys()
+    if commons:
+        common = min(commons)
+        return Interval(*common), list(_split(views, common))
+    move = next(_moves(views), None)
+    if move is None:
+        return None, [(s, t)]
+    word, scan, _ = views[move.side == "T"]
+    rotated = _rotated(word, scan, move.node)
+    return move, [(rotated, t) if move.side == "S" else (s, rotated)]
+
+
+def common_intervals(pair) -> frozenset:
+    """Intervals (root span excluded) present in both trees of the pair."""
+    (_, _, s_nodes), (_, _, t_nodes) = map(_view, _checked_pair(pair))
+    return frozenset(Interval(*common) for common in s_nodes.keys() & t_nodes.keys())
+
+
+def one_off_moves(pair) -> list:
+    """All rotations in either side whose created interval the other side has.
+
+    Moves come out in a canonical order: S side before T side, nodes by
+    word index.
+    """
+    return list(_moves([_view(w) for w in _checked_pair(pair)]))
 
 
 def is_difficult(pair) -> bool:
@@ -231,21 +260,8 @@ def split_at_common(pair, common) -> tuple:
     collapsed to a single leaf.  The two sizes always sum to the original.
     """
     lo, hi = common
-
-    def cut(word):
-        scan = word_scan(word)
-        for i in range(1, len(word)):
-            if word[i] == "1" and scan.lower[i] == lo and scan.upper[i] == hi:
-                end = scan.subtree_end[i]
-                return word[i:end], word[:i] + "0" + word[end:]
-        raise NotCommonError(f"({lo},{hi}) is not a non-root interval of {word!r}")
-
-    inner_s, outer_s = cut(pair[0])
-    inner_t, outer_t = cut(pair[1])
-    return (
-        TreePair(TreeWord(inner_s), TreeWord(inner_t)),
-        TreePair(TreeWord(outer_s), TreeWord(outer_t)),
-    )
+    views = [_view(w) for w in _checked_pair(pair)]
+    return tuple(TreePair(*map(TreeWord._trusted, p)) for p in _split(views, Interval(lo, hi)))
 
 
 def reduce_pair(pair) -> ReductionResult:
@@ -260,30 +276,15 @@ def reduce_pair(pair) -> ReductionResult:
     ``forced_moves`` plus the sum of exact distances of the components.
     The input is checked once on entry, as ``is_difficult`` checks it.
     """
-    s, t = _checked_pair(pair)
     forced = 0
     components = []
-    queue = deque([(str(s), str(t))])
-    while queue:
-        s, t = queue.popleft()
-        if s == t:
-            continue
-        commons = common_intervals((s, t))
-        if commons:
-            inner, outer = split_at_common((s, t), min(commons))
-            queue.append(inner)
-            queue.append(outer)
-            continue
-        moves = one_off_moves((s, t))
-        if moves:
-            side, node, _ = moves[0]
-            if side == "S":
-                s = rotate(s, node)
-            else:
-                t = rotate(t, node)
-            forced += 1
-            queue.append((s, t))
-            continue
-        components.append(TreePair(TreeWord(s), TreeWord(t)))
+    pending = [tuple(map(str, _checked_pair(pair)))]
+    while pending:
+        witness, pieces = _reduction(*pending.pop())
+        if witness is None:
+            components += pieces
+        else:
+            forced += isinstance(witness, OneOffMove)
+            pending.extend(pieces)
     components.sort()
-    return ReductionResult(forced, components)
+    return ReductionResult(forced, [TreePair(*map(TreeWord._trusted, p)) for p in components])

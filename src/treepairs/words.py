@@ -131,8 +131,19 @@ def word_scan(word: str) -> WordScan:
     return WordScan(tuple(parents), tuple(ends), tuple(lowers), tuple(uppers))
 
 
+def _require_node(word: str, index: int) -> None:
+    if not 0 <= index < len(word):
+        raise MalformedWordError(f"no node @{index} in {word!r}")
+
+
+def _require_internal(word: str, index: int) -> None:
+    if not 0 <= index < len(word) or word[index] != "1":
+        raise NotInternalError(f"no internal node @{index} in {word!r}")
+
+
 def subtree_end(word: str, index: int) -> int:
     """Exclusive end of the word slice holding the subtree rooted at ``index``."""
+    _require_node(word, index)
     depth = 0
     for j in range(index, len(word)):
         depth += 1 if word[j] == "1" else -1
@@ -143,12 +154,8 @@ def subtree_end(word: str, index: int) -> int:
 
 def is_internal(word: str, index: int) -> bool:
     """True when the node at ``index`` is internal."""
+    _require_node(word, index)
     return word[index] == "1"
-
-
-def _require_internal(word: str, index: int) -> None:
-    if word[index] != "1":
-        raise NotInternalError(f"node @{index} of {word!r} is a leaf")
 
 
 def left_child(word: str, index: int) -> int:
@@ -165,6 +172,7 @@ def right_child(word: str, index: int) -> int:
 
 def parent(word: str, index: int) -> int:
     """Index of the parent node; the root (index 0) has none."""
+    _require_node(word, index)
     if index == 0:
         raise NoParentError("the root has no parent")
     return word_scan(word).parent[index]
@@ -172,6 +180,7 @@ def parent(word: str, index: int) -> int:
 
 def interval_of(word: str, index: int) -> Interval:
     """Interval of the node at ``index``; a leaf spans the single label pair."""
+    _require_node(word, index)
     scan = word_scan(word)
     return Interval(scan.lower[index], scan.upper[index])
 

@@ -50,6 +50,13 @@ class TestCheck:
         assert lines[0].endswith("not difficult: one-off (S,@1)->(1,2)")
         assert lines[1] == "101011000 111010000: difficult"
 
+    def test_bad_file_line_is_named_before_any_output(self, capsys, tmp_path):
+        listing = tmp_path / "pairs.txt"
+        listing.write_text("11000 10100\n1010 0101\n101011000 111010000\n")
+        code, out, err = run_cli(capsys, "check", "--file", str(listing))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {listing}:2: ") and err.count("\n") == 1
+
     def test_missing_file_is_an_error_not_a_traceback(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "check", "--file", str(tmp_path / "missing.txt"))
         assert code == 1 and out == ""

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import treepairs
 from conftest import difficult_by_recomputation, tree_pairs, tree_words
 from treepairs import (
     MalformedWordError,
@@ -26,6 +27,16 @@ from treepairs import (
     rotation_neighbors,
     sample_difficult_pair,
     split_at_common,
+    word_scan,
+)
+
+# every public entry point that takes a pair and nothing else
+PAIR_ENTRY_POINTS = (
+    is_difficult,
+    common_intervals,
+    one_off_moves,
+    exact_distance,
+    lambda pair: split_at_common(pair, (0, 1)),
 )
 
 
@@ -151,12 +162,15 @@ class TestPairPredicates:
         assert verdicts == {True, False}
 
     def test_rejects_invalid_symbols(self):
-        with pytest.raises(MalformedWordError):
-            is_difficult(("1x0", "10x"))
+        for check in PAIR_ENTRY_POINTS:
+            with pytest.raises(MalformedWordError):
+                check(("1x0", "10x"))
 
     def test_rejects_size_mismatch(self):
-        with pytest.raises(MalformedWordError):
-            is_difficult(("1" * 20 + "0" * 21, "100"))
+        for check in PAIR_ENTRY_POINTS:
+            for pair in (("1" * 20 + "0" * 21, "100"), ("100", "10100")):
+                with pytest.raises(MalformedWordError):
+                    check(pair)
 
     def test_rejects_junk_text(self):
         with pytest.raises(MalformedWordError):
@@ -190,8 +204,39 @@ class TestSplitAndReduce:
             reduce_pair(("100", "10100"))
 
     def test_reduce_rejects_malformed_words(self):
-        with pytest.raises(MalformedWordError):
-            reduce_pair(("110", "101"))
+        for check in (reduce_pair, *PAIR_ENTRY_POINTS):
+            with pytest.raises(MalformedWordError):
+                check(("110", "101"))
+
+    def test_reduce_scans_each_word_once_per_round(self, monkeypatch):
+        rng = random.Random(200)
+        pair = (remy_sample(200, rng), remy_sample(200, rng))
+        # replay the rule order through the public rules, counting the
+        # non-identical pieces taken off the queue
+        rounds, forced, components, pending = 0, 0, [], [pair]
+        while pending:
+            s, t = pending.pop()
+            if s == t:
+                continue
+            rounds += 1
+            commons = common_intervals((s, t))
+            if commons:
+                pending.extend(split_at_common((s, t), min(commons)))
+                continue
+            moves = one_off_moves((s, t))
+            if not moves:
+                components.append((s, t))
+                continue
+            side, node, _ = moves[0]
+            forced += 1
+            pending.append((rotate(s, node), t) if side == "S" else (s, rotate(t, node)))
+        scans = []
+        for module in (treepairs.words, treepairs.rotations):
+            monkeypatch.setattr(module, "word_scan", lambda w: scans.append(w) or word_scan(w))
+        outcome = reduce_pair(pair)
+        assert outcome.forced_moves == forced > 0
+        assert outcome.components == sorted(components)
+        assert rounds > 50 and len(scans) <= 2 * rounds
 
     def test_difficult_pairs_are_fixed_points(self):
         pair = TreePair("101011000", "111010000")

@@ -7,14 +7,18 @@ from treepairs import (
     MalformedWordError,
     NoParentError,
     NotInternalError,
+    anchor_embedding,
+    grow,
     interval_of,
     intervals,
+    is_internal,
     left_child,
     one_interval_of,
     one_intervals,
     parent,
     parse_word,
     right_child,
+    rotate,
     subtree_end,
     word_scan,
 )
@@ -57,6 +61,32 @@ class TestNavigation:
             if word[i] == "1":
                 assert parent(word, left_child(word, i)) == i
                 assert parent(word, right_child(word, i)) == i
+
+
+OUT_OF_RANGE = [
+    (interval_of, -1, MalformedWordError),
+    (interval_of, 7, MalformedWordError),
+    (parent, -1, MalformedWordError),
+    (parent, 7, MalformedWordError),
+    (is_internal, -1, MalformedWordError),
+    (is_internal, 7, MalformedWordError),
+    (subtree_end, -1, MalformedWordError),
+    (anchor_embedding, 99, MalformedWordError),
+    (grow, 7, MalformedWordError),
+    (left_child, -3, NotInternalError),
+    (right_child, 9, NotInternalError),
+    (one_interval_of, -3, NotInternalError),
+    (rotate, 7, NotInternalError),
+]
+
+
+@pytest.mark.parametrize(
+    "query, index, error", OUT_OF_RANGE, ids=[f"{q.__name__}@{i}" for q, i, _ in OUT_OF_RANGE]
+)
+def test_index_outside_the_word_is_rejected(query, index, error):
+    # "1100100" has nodes 0..6; a negative index must not wrap around
+    with pytest.raises(error, match=f"node @{index} in"):
+        query("1100100", index)
 
 
 class TestIntervals:
