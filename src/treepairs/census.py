@@ -11,7 +11,7 @@ import math
 
 from .errors import SizeGuardExceededError
 from .rotations import TreePair
-from .words import TreeWord, _difficult_pairs, _interval_masks
+from .words import TreeWord, _difficult_pairs, _interval_masks, word_scan
 
 __all__ = [
     "catalan",
@@ -76,7 +76,7 @@ def enumerate_difficult_pairs(n: int, max_size: int = PAIR_GUARD) -> list:
     if n > max_size:
         raise SizeGuardExceededError(f"size {n} exceeds the census guard {max_size}")
     rows = [
-        (w, *_interval_masks(w, n + 1))
+        (w, *_interval_masks(word_scan(w), n + 1))
         for w in enumerate_trees(n, max_size=max(n, TREE_GUARD))
     ]
     return [TreePair(s, t) for s, t in _difficult_pairs(rows, rows)]

@@ -17,7 +17,7 @@ from .census import enumerate_difficult_pairs, enumerate_trees
 from .errors import MalformedWordError, TreePairError
 from .growth import growth_neighbors
 from .rotations import OneOffMove, exact_distance, parse_pair, reduce_pair, rotation_neighbors
-from .rotations import _reduction
+from .rotations import DISTANCE_GUARD, _reduction
 from .sampling import DEFAULT_SEED, sample_difficult_pair
 from .stats import coverage_report
 from .words import parse_word
@@ -155,7 +155,7 @@ def _build_parser():
 
     p = sub.add_parser("distance", help="exact rotation distance (exhaustive search)")
     p.add_argument("pair", help='pair as one argument: "WORD WORD"')
-    p.add_argument("--max-size", type=int, default=12, help="search size guard")
+    p.add_argument("--max-size", type=int, default=DISTANCE_GUARD, help="search size guard")
     p.set_defaults(func=_cmd_distance)
 
     p = sub.add_parser("reduce", help="forced moves and difficult components")

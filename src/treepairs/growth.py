@@ -22,7 +22,8 @@ platform.  Share nothing else: one generator per thread.
 from __future__ import annotations
 
 from .errors import NotInternalError
-from .words import TreeWord, _created, _interval_masks, _require_node, subtree_end, word_scan
+from .words import TreeWord, subtree_end, word_scan
+from .words import _checked, _created, _interval_masks, _require_node
 
 __all__ = [
     "grow",
@@ -58,9 +59,10 @@ def _grow_sites(word: str, ends) -> list:
 def _grown_rows(words, stride) -> list:
     """For each of ``words``, the (grown word, has, makes) rows of its distinct
     growth neighbors in lexicographic order, with the masks that
-    ``_interval_masks(grown, stride)`` would build.
+    ``_interval_masks(word_scan(grown), stride)`` would build.
 
-    Only the given words are masked from scratch.  Growing at a node v with
+    Each given word is scanned once; its masks are packed from that scan and
+    its grown words are never scanned.  Growing at a node v with
     interval [a, b] relabels the other nodes' intervals and created intervals
     region by region of the packed table (rows are lower bounds, columns
     upper bounds): bits in ``stay`` keep their key, bits in ``step`` move one
@@ -81,7 +83,7 @@ def _grown_rows(words, stride) -> list:
     for word in words:
         scan = word_scan(word)
         parent, ends, lower, upper = scan
-        has, makes = _interval_masks(word, stride)
+        has, makes = _interval_masks(scan, stride)
         k = len(word) // 2
         entries = {}
         for i, end, right in _grow_sites(word, ends):
@@ -143,6 +145,7 @@ def growth_neighbors(word: str) -> set:
     is why the bound is 3n + 1 rather than 2(2n + 1) and why the result is a
     set: sampling layers treat each distinct neighbor once.
     """
+    word = _checked(word)
     sites = _grow_sites(word, word_scan(word).subtree_end)
     return {TreeWord._trusted(_grown(word, *site)) for site in sites}
 

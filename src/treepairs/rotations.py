@@ -30,8 +30,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import MalformedWordError, NoParentError, NotCommonError, SizeGuardExceededError
-from .words import Interval, TreeWord, parse_word, word_scan
-from .words import _created, _difficult_pairs, _interval_masks, _require_internal
+from .words import Interval, TreeWord, word_scan
+from .words import _checked, _created, _difficult_pairs, _interval_masks, _require_internal
 
 __all__ = [
     "TreePair",
@@ -113,7 +113,7 @@ def _neighbor_words(word: str) -> tuple:
 
 def rotation_neighbors(word: str) -> set:
     """All trees one rotation away; exactly n - 1 of them for a size-n tree."""
-    return {TreeWord(w) for w in _neighbor_words(str(word))}
+    return {TreeWord._trusted(w) for w in _neighbor_words(str(_checked(word)))}
 
 
 def exact_distance(pair, max_size: int = DISTANCE_GUARD) -> int:
@@ -166,7 +166,7 @@ def _checked_pair(pair) -> tuple:
     """The two words of ``pair``: raw strings are validated (``TreeWord``
     values skip the check), and trees of different sizes raise
     ``MalformedWordError``."""
-    s, t = (w if isinstance(w, TreeWord) else parse_word(w) for w in pair)
+    s, t = map(_checked, pair)
     if len(s) != len(t):
         raise MalformedWordError(f"pair members differ in size: {s} {t}")
     return s, t
@@ -247,7 +247,7 @@ def is_difficult(pair) -> bool:
     """
     s, t = _checked_pair(pair)
     stride = len(s) // 2 + 1
-    left, right = ([(w, *_interval_masks(w, stride))] for w in (s, t))
+    left, right = ([(w, *_interval_masks(word_scan(w), stride))] for w in (s, t))
     return bool(_difficult_pairs(left, right))
 
 

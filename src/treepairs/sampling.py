@@ -16,14 +16,16 @@ difficulty path: ``is_difficult`` and the census use them too.  A step scans
 the two parent words once and derives every grown neighbor's masks from the
 parent's by relabeling (``growth._grown_rows``), so no grown word is
 rescanned; ``words._interval_masks`` stays the one from-scratch builder,
-used by ``is_difficult``, the census and the parents, and a property test
-holds the derived masks against it.  The independent oracle, which
-recomputes interval sets from the raw words, lives in the tests.
+packing a ``word_scan`` through ``_created``, and a property test holds the
+derived masks against it.  The independent oracle, which parses the raw
+words into tuple trees and rotates them, lives in the tests.
 
 Sampling is deterministic per (n, seed): drive it with ``random.Random(seed)``
-(Mersenne Twister, bit-stable across platforms).  The distribution covers
-every difficult pair at sizes small enough to check exhaustively, but it is
-not uniform.
+(Mersenne Twister, bit-stable across platforms).  The distribution is not
+uniform, and it does not reach every difficult pair: from n = 7 on, some
+difficult pairs are not grown from any difficult pair one size smaller, so
+no draw reaches them or the pairs grown only from them (2,484 of 2,616 at
+n = 7 and 21,622 of 23,150 at n = 8 are reachable).
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ Everything here is an immutable value and every function is pure, so the
 whole module is safe for unrestricted concurrent use.  Queries run off a
 single left-to-right scan of the word (``word_scan``) that yields parents,
 subtree extents and interval bounds for every node in one linear pass.
-Difficulty tests read two packed bit masks per word (``_interval_masks``)
-through one pair filter (``_difficult_pairs``) instead.
+Difficulty tests pack a scanned word's non-root intervals and created
+intervals (``_created``) into two bit masks (``_interval_masks``) and read
+them through one pair filter (``_difficult_pairs``).
 """
 
 from __future__ import annotations
@@ -83,6 +84,12 @@ class TreeWord(str):
 def parse_word(text: str) -> TreeWord:
     """Validate ``text`` as a tree word, raising ``MalformedWordError`` if bad."""
     return TreeWord(text)
+
+
+def _checked(word: str) -> TreeWord:
+    """``word`` as a ``TreeWord``: raw strings are validated by ``parse_word``
+    and ``TreeWord`` values skip the check."""
+    return word if isinstance(word, TreeWord) else parse_word(word)
 
 
 class WordScan(NamedTuple):
@@ -191,7 +198,7 @@ def intervals(word: str, include_root: bool = True) -> frozenset:
     The root's span covers every leaf and is present in every tree of the
     same size, so pair comparisons exclude it via ``include_root=False``.
     """
-    scan = word_scan(word)
+    scan = word_scan(_checked(word))
     start = 0 if include_root else 1
     return frozenset(
         Interval(scan.lower[i], scan.upper[i])
@@ -218,54 +225,31 @@ def one_interval_of(word: str, index: int) -> Interval:
 
 def one_intervals(word: str) -> frozenset:
     """Intervals creatable by a single rotation; one per non-root internal node."""
-    scan = word_scan(word)
+    scan = word_scan(_checked(word))
     return frozenset(_created(scan, i) for i in range(1, len(word)) if word[i] == "1")
 
 
-def _interval_masks(word, stride):
-    """Pack the non-root intervals and the created intervals of ``word`` into
-    two bit masks keyed by lower * stride + upper, for ``_difficult_pairs``.
+def _interval_masks(scan: WordScan, stride: int) -> tuple:
+    """Pack the non-root intervals and the created intervals of a scanned
+    word into two bit masks keyed by lower * stride + upper, for
+    ``_difficult_pairs``.
 
-    One pass: when an internal node completes, its own interval bit is set
-    and the created-interval bits of its internal children follow from the
-    recorded (lower, upper, left-child-upper) triples.  ``stride`` must
-    exceed every leaf label so keys stay distinct; callers compare masks
-    only between words of equal length and stride.
+    Both are read off ``scan``: a node is internal exactly when its interval
+    spans two or more leaves, and its created interval is ``_created``'s.
+    ``stride`` must exceed every leaf label so keys stay distinct; callers
+    compare masks only between words of equal length and stride.
     """
     nbytes = (stride * stride + 7) >> 3
     has = bytearray(nbytes)
     makes = bytearray(nbytes)
-    zeros = 0
-    stack = []  # open internal nodes: [lower, kids, first_child, second_child]
-    for symbol in word:
-        if symbol == "1":
-            stack.append([zeros, 0, None, None])
-            continue
-        done = (zeros, zeros, -1, False)  # (lower, upper, left-child-upper, internal)
-        zeros += 1
-        while stack:
-            top = stack[-1]
-            top[1] += 1
-            if top[1] == 1:
-                top[2] = done
-                break
-            top[3] = done
-            stack.pop()
-            lower = top[0]
-            upper = zeros - 1
-            key = lower * stride + upper
+    lower, upper = scan.lower, scan.upper
+    for i in range(1, len(lower)):
+        if upper[i] > lower[i]:
+            key = lower[i] * stride + upper[i]
             has[key >> 3] |= 1 << (key & 7)
-            left, right = top[2], done
-            if left[3]:  # rotating the left child creates (its right's lower, upper)
-                key = (left[2] + 1) * stride + upper
-                makes[key >> 3] |= 1 << (key & 7)
-            if right[3]:  # rotating the right child creates (lower, its left's upper)
-                key = lower * stride + right[2]
-                makes[key >> 3] |= 1 << (key & 7)
-            done = (lower, upper, left[1], True)
-    n = len(word) // 2
-    if n:  # the root span is shared by every tree; drop it from comparisons
-        has[n >> 3] &= 0xFF ^ (1 << (n & 7))
+            made = _created(scan, i)
+            key = made.lower * stride + made.upper
+            makes[key >> 3] |= 1 << (key & 7)
     return int.from_bytes(has, "little"), int.from_bytes(makes, "little")
 
 

@@ -1,26 +1,74 @@
 import random
+from functools import lru_cache
 
 from hypothesis import settings, strategies as st
 
-from treepairs import intervals, one_intervals, remy_sample
+from treepairs import remy_sample
 
 settings.register_profile("pkg", deadline=None)
 settings.load_profile("pkg")
 
 
+def _tree(word):
+    """Nested tuples of a tree word: None for a leaf, (left, right) for a
+    node.  Parsed here, apart from the package's word scan."""
+    stack = []
+    for symbol in reversed(word):
+        stack.append(None if symbol == "0" else (stack.pop(), stack.pop()))
+    (tree,) = stack
+    return tree
+
+
+def _spans(tree, low=0):
+    """(spans, high): the (lowest, highest) leaf labels of every node of a
+    tuple tree whose first leaf is ``low``, and its highest label."""
+    if tree is None:
+        return set(), low
+    left, mid = _spans(tree[0], low)
+    right, high = _spans(tree[1], mid + 1)
+    return left | right | {(low, high)}, high
+
+
+def _rotations(tree):
+    """Every tuple tree one rotation away: a left child promoted,
+    ((a b) c) -> (a (b c)), or a right child, (a (b c)) -> ((a b) c)."""
+    if tree is None:
+        return
+    left, right = tree
+    if left is not None:
+        yield left[0], (left[1], right)
+    if right is not None:
+        yield (left, right[0]), right[1]
+    for rotated in _rotations(left):
+        yield rotated, right
+    for rotated in _rotations(right):
+        yield left, rotated
+
+
+@lru_cache(maxsize=4096)
+def interval_sets(word):
+    """(intervals, created): the non-root intervals of ``word`` and the
+    intervals its rotations create, as sets of (lower, upper) tuples.  Each
+    created interval is the one span a rotated tuple tree has that the tree
+    lacks; no ``treepairs`` interval code runs here."""
+    tree = _tree(word)
+    spans, high = _spans(tree)
+    created = set()
+    for rotated in _rotations(tree):
+        (new,) = _spans(rotated)[0] - spans
+        created.add(new)
+    return frozenset(spans - {(0, high)}), frozenset(created)
+
+
 def difficult_by_recomputation(s, t):
-    """Difficulty recomputed from interval and created-interval sets of the
-    raw words: the oracle for the packed masks that ``is_difficult``, the
-    census and the sampler share."""
+    """Difficulty recomputed from interval and created-interval sets of
+    tuple trees parsed from the raw words: the oracle for the packed masks
+    that ``is_difficult``, the census and the sampler share."""
     if s == t:
         return False
-    s_has = intervals(s, include_root=False)
-    t_has = intervals(t, include_root=False)
-    return (
-        s_has.isdisjoint(t_has)
-        and one_intervals(s).isdisjoint(t_has)
-        and one_intervals(t).isdisjoint(s_has)
-    )
+    s_has, s_makes = interval_sets(str(s))
+    t_has, t_makes = interval_sets(str(t))
+    return s_has.isdisjoint(t_has) and s_makes.isdisjoint(t_has) and t_makes.isdisjoint(s_has)
 
 
 @st.composite

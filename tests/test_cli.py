@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import treepairs
 from treepairs import is_difficult, parse_pair, parse_word
 from treepairs.cli import main
 
@@ -181,9 +182,12 @@ class TestDeterminism:
         # separate processes get different hash seeds, which must not matter
         argv = [sys.executable, "-m", "treepairs", "sample", "--size", "10",
                 "--count", "3", "--seed", "5"]
+        # the child imports the package from where this process found it
+        package_root = os.path.dirname(os.path.dirname(treepairs.__file__))
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         outputs = []
         for hash_seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
             result = subprocess.run(argv, capture_output=True, text=True, env=env)
             assert result.returncode == 0, result.stderr
             outputs.append(result.stdout)

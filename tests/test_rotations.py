@@ -19,6 +19,7 @@ from treepairs import (
     intervals,
     is_difficult,
     one_interval_of,
+    one_intervals,
     one_off_moves,
     parse_pair,
     reduce_pair,
@@ -38,6 +39,22 @@ PAIR_ENTRY_POINTS = (
     exact_distance,
     lambda pair: split_at_common(pair, (0, 1)),
 )
+
+
+@pytest.mark.parametrize(
+    "entry, junk",
+    [
+        (growth_neighbors, "abc"),
+        (rotation_neighbors, "abc"),
+        (rotation_neighbors, "10"),
+        (intervals, "abc"),
+        (intervals, "10"),
+        (one_intervals, "0110"),
+    ],
+)
+def test_word_entry_points_reject_junk(entry, junk):
+    with pytest.raises(MalformedWordError):
+        entry(junk)
 
 
 class TestRotate:

@@ -3,24 +3,24 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import difficult_by_recomputation, tree_words
+from conftest import difficult_by_recomputation, interval_sets, tree_words
 from treepairs import (
     NotDifficultError,
     SizeTooSmallError,
     TreeWord,
     anchor_growth,
+    enumerate_difficult_pairs,
+    enumerate_trees,
     growth_neighbors,
-    intervals,
     is_difficult,
-    one_intervals,
     pair_choices,
     primitive_pairs,
     sample_difficult_pair,
     sample_with_choice_counts,
 )
 from treepairs.growth import _grown_rows
-from treepairs.sampling import _STARTS
-from treepairs.words import _interval_masks
+from treepairs.sampling import _STARTS, _difficult_grown_pairs
+from treepairs.words import _interval_masks, word_scan
 
 
 def _mask_to_set(mask, stride):
@@ -37,9 +37,8 @@ def _mask_to_set(mask, stride):
 @given(tree_words(max_size=25), st.integers(0, 3))
 def test_masks_agree_with_interval_sets(word, pad):
     stride = word.size + 2 + pad
-    has, makes = _interval_masks(word, stride)
-    assert _mask_to_set(has, stride) == {tuple(b) for b in intervals(word, include_root=False)}
-    assert _mask_to_set(makes, stride) == {tuple(b) for b in one_intervals(word)}
+    has, makes = _interval_masks(word_scan(word), stride)
+    assert (_mask_to_set(has, stride), _mask_to_set(makes, stride)) == interval_sets(word)
 
 
 @given(tree_words(min_size=0, max_size=25), tree_words(min_size=0, max_size=25), st.integers(0, 3))
@@ -50,7 +49,39 @@ def test_grown_rows_equal_masks_built_from_scratch(word, other, pad):
     derived = _grown_rows([word, other], stride)
     for parent, rows in zip((word, other), derived):
         grown = sorted(growth_neighbors(parent))
-        assert rows == [(g, *_interval_masks(g, stride)) for g in grown]
+        assert rows == [(g, *_interval_masks(word_scan(g), stride)) for g in grown]
+
+
+def test_sampler_support_misses_pairs_not_grown_from_smaller_ones():
+    # Forward reachability from the start table against the census.  A pair
+    # not grown from any difficult pair one size smaller (a primitive pair)
+    # is never drawn, nor is anything grown only from such pairs.
+    reached = set(_STARTS)
+    census = set(map(tuple, enumerate_difficult_pairs(4)))
+    # size: (reached, census, primitive)
+    expected = {5: (42, 42, 0), 6: (304, 304, 0), 7: (2484, 2616, 132), 8: (21622, 23150, 44)}
+    for n, counts in expected.items():
+        grown = {g for pair in census for g in _difficult_grown_pairs(*pair)}
+        reached = {g for pair in reached for g in _difficult_grown_pairs(*pair)}
+        census = set(map(tuple, enumerate_difficult_pairs(n)))
+        assert reached <= grown <= census
+        assert (len(reached), len(census), len(census - grown)) == counts
+
+
+@pytest.mark.parametrize("n, primitive", [(4, 8), (5, 0), (6, 0)])
+def test_primitive_count_by_the_set_oracle(n, primitive):
+    def difficult(words):
+        return {(s, t) for s in words for t in words if difficult_by_recomputation(s, t)}
+
+    smaller = difficult(enumerate_trees(n - 1))
+    grown = {
+        (u, v)
+        for s, t in smaller
+        for u in growth_neighbors(s)
+        for v in growth_neighbors(t)
+        if difficult_by_recomputation(u, v)
+    }
+    assert len(difficult(enumerate_trees(n)) - grown) == primitive
 
 
 class TestStartTable:
