@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .errors import NotInternalError
 from .words import TreeWord, subtree_end, word_scan
-from .words import _checked, _created, _interval_masks, _require_node
+from .words import _created, _interval_masks, _require_node
 
 __all__ = [
     "grow",
@@ -56,10 +56,11 @@ def _grow_sites(word: str, ends) -> list:
     return sites
 
 
-def _grown_rows(words, stride) -> list:
+def _grown_rows(words) -> list:
     """For each of ``words``, the (grown word, has, makes) rows of its distinct
     growth neighbors in lexicographic order, with the masks that
-    ``_interval_masks(word_scan(grown), stride)`` would build.
+    ``_interval_masks(word_scan(grown), stride)`` builds for a stride of the
+    largest size + 2, which exceeds every label of a grown word.
 
     Each given word is scanned once; its masks are packed from that scan and
     its grown words are never scanned.  Growing at a node v with
@@ -71,14 +72,14 @@ def _grown_rows(words, stride) -> list:
     node change.  A created interval crosses exactly one tree interval, so no
     two nodes share a created bit and clearing v's old one is safe.
     """
-    rows = max(len(w) for w in words) // 2 + 2  # grown words have labels up to size + 1
+    stride = max(len(w) for w in words) // 2 + 2
     lift = stride + 1
     full = (1 << stride) - 1
     repeat = [0]  # repeat[c]: column 0 of every row < c
-    for r in range(rows):
+    for r in range(stride):
         repeat.append(repeat[-1] | 1 << r * stride)
-    beyond = [repeat[c] * (full ^ ((1 << c) - 1)) for c in range(rows)]  # rows < c, columns >= c
-    inside = [((1 << c * stride) - 1) ^ beyond[c] for c in range(rows)]  # rows < c, columns < c
+    beyond = [repeat[c] * (full ^ ((1 << c) - 1)) for c in range(stride)]  # rows < c, columns >= c
+    inside = [((1 << c * stride) - 1) ^ beyond[c] for c in range(stride)]  # rows < c, columns < c
     found = []
     for word in words:
         scan = word_scan(word)
@@ -145,7 +146,6 @@ def growth_neighbors(word: str) -> set:
     is why the bound is 3n + 1 rather than 2(2n + 1) and why the result is a
     set: sampling layers treat each distinct neighbor once.
     """
-    word = _checked(word)
     sites = _grow_sites(word, word_scan(word).subtree_end)
     return {TreeWord._trusted(_grown(word, *site)) for site in sites}
 

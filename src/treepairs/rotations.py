@@ -101,7 +101,7 @@ def rotate(word: str, index: int) -> TreeWord:
     _require_internal(word, index)
     if index == 0:
         raise NoParentError("the root cannot be rotated")
-    return TreeWord(_rotated(word, word_scan(word), index))
+    return TreeWord._trusted(_rotated(word, word_scan(word), index))
 
 
 @lru_cache(maxsize=65536)
@@ -165,8 +165,12 @@ def exact_distance(pair, max_size: int = DISTANCE_GUARD) -> int:
 def _checked_pair(pair) -> tuple:
     """The two words of ``pair``: raw strings are validated (``TreeWord``
     values skip the check), and trees of different sizes raise
-    ``MalformedWordError``."""
-    s, t = map(_checked, pair)
+    ``MalformedWordError``, as does anything but exactly two words."""
+    try:
+        s, t = pair
+    except (TypeError, ValueError):
+        raise MalformedWordError(f"a pair is exactly two words, not {pair!r}") from None
+    s, t = _checked(s), _checked(t)
     if len(s) != len(t):
         raise MalformedWordError(f"pair members differ in size: {s} {t}")
     return s, t

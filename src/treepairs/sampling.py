@@ -62,8 +62,7 @@ _STARTS = tuple(
 def _difficult_grown_pairs(s, t):
     """All difficult (U, V) over growth neighbors of s and t, in lexicographic
     order; never empty for a difficult (s, t)."""
-    stride = len(s) // 2 + 2  # grown trees have labels up to size + 1
-    found = _difficult_pairs(*_grown_rows((s, t), stride))
+    found = _difficult_pairs(*_grown_rows((s, t)))
     if not found:
         raise RuntimeError("difficult pair has no difficult grown pair; growth closure is broken")
     return found

@@ -9,9 +9,9 @@ are identified by their 0-based index in the word; indices are never
 meaningful across two different words.
 
 Everything here is an immutable value and every function is pure, so the
-whole module is safe for unrestricted concurrent use.  Queries run off a
-single left-to-right scan of the word (``word_scan``) that yields parents,
-subtree extents and interval bounds for every node in one linear pass.
+whole module is safe for unrestricted concurrent use.  Queries run off one
+right-to-left pass over the word (``word_scan``) that yields parents, subtree
+extents and interval bounds for every node; it alone decides what a word is.
 Difficulty tests pack a scanned word's non-root intervals and created
 intervals (``_created``) into two bit masks (``_interval_masks``) and read
 them through one pair filter (``_difficult_pairs``).
@@ -49,22 +49,10 @@ class Interval(NamedTuple):
 
 
 class TreeWord(str):
-    """A validated pre-order tree word; behaves as a plain string."""
+    """A pre-order tree word validated by ``word_scan``; behaves as a plain string."""
 
     def __new__(cls, text: str) -> "TreeWord":
-        ones = text.count("1")
-        zeros = text.count("0")
-        if ones + zeros != len(text):
-            raise MalformedWordError(f"word may only contain '1' and '0': {text!r}")
-        if zeros != ones + 1:
-            raise MalformedWordError(
-                f"need one more '0' than '1', got {ones} x '1' and {zeros} x '0'"
-            )
-        depth = 0
-        for symbol in text[:-1]:
-            depth += 1 if symbol == "1" else -1
-            if depth < 0:
-                raise MalformedWordError(f"subtree closes before the word ends: {text!r}")
+        word_scan(text)
         return super().__new__(cls, text)
 
     @classmethod
@@ -107,43 +95,51 @@ class WordScan(NamedTuple):
 
 
 def word_scan(word: str) -> WordScan:
-    """Compute parents, subtree extents and interval bounds for every node."""
+    """Compute parents, subtree extents and interval bounds for every node in
+    one right-to-left pass over a stack of subtree roots, raising
+    ``MalformedWordError`` unless ``word`` is a tree word."""
+    if not isinstance(word, str):
+        raise MalformedWordError(f"a tree word is a str, not {type(word).__name__}")
+    ones = word.count("1")
+    zeros = word.count("0")
+    if ones + zeros != len(word):
+        raise MalformedWordError(f"word may only contain '1' and '0': {word!r}")
+    if zeros != ones + 1:
+        raise MalformedWordError(
+            f"need one more '0' than '1', got {ones} x '1' and {zeros} x '0'"
+        )
     length = len(word)
     parents = [-1] * length
     ends = [0] * length
     lowers = [0] * length
     uppers = [0] * length
-    zeros = 0
-    stack = []  # open internal nodes
-    kids = []  # completed-children counts, parallel to stack
-    for i in range(length):
-        if stack:
-            parents[i] = stack[-1]
-        lowers[i] = zeros
-        if word[i] == "1":
-            stack.append(i)
-            kids.append(0)
-        else:
-            zeros += 1
-            uppers[i] = zeros - 1
+    label = zeros
+    roots = []
+    for i in range(length - 1, -1, -1):
+        if word[i] == "0":
+            label -= 1
+            lowers[i] = uppers[i] = label
             ends[i] = i + 1
-            while stack:
-                kids[-1] += 1
-                if kids[-1] < 2:
-                    break
-                top = stack.pop()
-                kids.pop()
-                uppers[top] = zeros - 1
-                ends[top] = i + 1
+        elif len(roots) < 2:
+            raise MalformedWordError(f"subtree closes before the word ends: {word!r}")
+        else:
+            left, right = roots.pop(), roots.pop()  # the nearest root is the left child
+            parents[left] = parents[right] = i
+            lowers[i] = label
+            uppers[i] = uppers[right]
+            ends[i] = ends[right]
+        roots.append(i)
     return WordScan(tuple(parents), tuple(ends), tuple(lowers), tuple(uppers))
 
 
 def _require_node(word: str, index: int) -> None:
-    if not 0 <= index < len(word):
+    if not isinstance(word, str) or not 0 <= index < len(word):
         raise MalformedWordError(f"no node @{index} in {word!r}")
 
 
 def _require_internal(word: str, index: int) -> None:
+    if not isinstance(word, str):
+        raise MalformedWordError(f"no node @{index} in {word!r}")
     if not 0 <= index < len(word) or word[index] != "1":
         raise NotInternalError(f"no internal node @{index} in {word!r}")
 
@@ -198,7 +194,7 @@ def intervals(word: str, include_root: bool = True) -> frozenset:
     The root's span covers every leaf and is present in every tree of the
     same size, so pair comparisons exclude it via ``include_root=False``.
     """
-    scan = word_scan(_checked(word))
+    scan = word_scan(word)
     start = 0 if include_root else 1
     return frozenset(
         Interval(scan.lower[i], scan.upper[i])
@@ -225,7 +221,7 @@ def one_interval_of(word: str, index: int) -> Interval:
 
 def one_intervals(word: str) -> frozenset:
     """Intervals creatable by a single rotation; one per non-root internal node."""
-    scan = word_scan(_checked(word))
+    scan = word_scan(word)
     return frozenset(_created(scan, i) for i in range(1, len(word)) if word[i] == "1")
 
 

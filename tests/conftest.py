@@ -19,6 +19,29 @@ def _tree(word):
     return tree
 
 
+def scan_by_descent(word):
+    """(parent, subtree_end, lower, upper) tables of a tree word from a
+    forward recursive-descent parse, apart from the package's right-to-left
+    scan: a node's lower bound is the next unused leaf label, and its upper
+    bound is the last label its subtree used."""
+    parents, ends, lowers, uppers = ([0] * len(word) for _ in range(4))
+    high = -1  # the last leaf label used
+
+    def node(i, up):
+        nonlocal high
+        parents[i], lowers[i] = up, high + 1
+        if word[i] == "0":
+            high += 1
+            end = i + 1
+        else:
+            end = node(node(i + 1, i), i)
+        ends[i], uppers[i] = end, high
+        return end
+
+    assert node(0, -1) == len(word)
+    return tuple(parents), tuple(ends), tuple(lowers), tuple(uppers)
+
+
 def _spans(tree, low=0):
     """(spans, high): the (lowest, highest) leaf labels of every node of a
     tuple tree whose first leaf is ``low``, and its highest label."""

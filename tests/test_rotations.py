@@ -14,6 +14,7 @@ from treepairs import (
     TreePair,
     common_intervals,
     exact_distance,
+    grow,
     growth_neighbors,
     interval_of,
     intervals,
@@ -21,7 +22,9 @@ from treepairs import (
     one_interval_of,
     one_intervals,
     one_off_moves,
+    parent,
     parse_pair,
+    parse_word,
     reduce_pair,
     remy_sample,
     rotate,
@@ -50,6 +53,14 @@ PAIR_ENTRY_POINTS = (
         (intervals, "abc"),
         (intervals, "10"),
         (one_intervals, "0110"),
+        (word_scan, "abc"),
+        (lambda w: parent(w, 1), "1x0"),
+        (lambda w: interval_of(w, 1), "1x0"),
+        (lambda w: one_interval_of(w, 1), "11x0000"),
+        (parse_word, 5),
+        (intervals, None),
+        (lambda w: rotate(w, 1), None),
+        (lambda w: grow(w, 0), None),
     ],
 )
 def test_word_entry_points_reject_junk(entry, junk):
@@ -222,8 +233,9 @@ class TestSplitAndReduce:
 
     def test_reduce_rejects_malformed_words(self):
         for check in (reduce_pair, *PAIR_ENTRY_POINTS):
-            with pytest.raises(MalformedWordError):
-                check(("110", "101"))
+            for pair in (("110", "101"), None, ("100",), ("100", "100", "100")):
+                with pytest.raises(MalformedWordError):
+                    check(pair)
 
     def test_reduce_scans_each_word_once_per_round(self, monkeypatch):
         rng = random.Random(200)

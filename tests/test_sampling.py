@@ -1,4 +1,7 @@
+import math
 import random
+from collections import defaultdict
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -9,6 +12,7 @@ from treepairs import (
     SizeTooSmallError,
     TreeWord,
     anchor_growth,
+    coverage_report,
     enumerate_difficult_pairs,
     enumerate_trees,
     growth_neighbors,
@@ -19,7 +23,7 @@ from treepairs import (
     sample_with_choice_counts,
 )
 from treepairs.growth import _grown_rows
-from treepairs.sampling import _STARTS, _difficult_grown_pairs
+from treepairs.sampling import _STARTS, MIN_SIZE, _difficult_grown_pairs
 from treepairs.words import _interval_masks, word_scan
 
 
@@ -41,12 +45,12 @@ def test_masks_agree_with_interval_sets(word, pad):
     assert (_mask_to_set(has, stride), _mask_to_set(makes, stride)) == interval_sets(word)
 
 
-@given(tree_words(min_size=0, max_size=25), tree_words(min_size=0, max_size=25), st.integers(0, 3))
-@example(TreeWord("0"), TreeWord("100"), 0)
-def test_grown_rows_equal_masks_built_from_scratch(word, other, pad):
+@given(tree_words(min_size=0, max_size=25), tree_words(min_size=0, max_size=25))
+@example(TreeWord("0"), TreeWord("100"))
+def test_grown_rows_equal_masks_built_from_scratch(word, other):
     # the grown words have labels up to the larger size + 1
-    stride = max(word.size, other.size) + 2 + pad
-    derived = _grown_rows([word, other], stride)
+    stride = max(word.size, other.size) + 2
+    derived = _grown_rows([word, other])
     for parent, rows in zip((word, other), derived):
         grown = sorted(growth_neighbors(parent))
         assert rows == [(g, *_interval_masks(word_scan(g), stride)) for g in grown]
@@ -66,6 +70,48 @@ def test_sampler_support_misses_pairs_not_grown_from_smaller_ones():
         census = set(map(tuple, enumerate_difficult_pairs(n)))
         assert reached <= grown <= census
         assert (len(reached), len(census), len(census - grown)) == counts
+
+
+def _exact_distribution(n):
+    """The sampler's exact law at size ``n``: the start table's uniform mass,
+    passed on at each step in equal shares to a pair's grown difficult
+    pairs."""
+    masses = defaultdict(Fraction)
+    for pair in _STARTS:
+        masses[pair] += Fraction(1, len(_STARTS))
+    for _ in range(n - MIN_SIZE):
+        grown = defaultdict(Fraction)
+        for pair, mass in masses.items():
+            choices = _difficult_grown_pairs(*pair)
+            for choice in choices:
+                grown[choice] += mass / len(choices)
+        masses = grown
+    return masses
+
+
+@pytest.mark.parametrize(
+    "n, tvd, max_min",
+    [(5, Fraction(19, 126), Fraction(16, 7)), (6, Fraction(283693, 1493856), Fraction(3123, 364))],
+)
+def test_exact_distribution_against_uniform(n, tvd, max_min):
+    # the sampler reaches every difficult pair at n = 5, 6, but not uniformly
+    masses = _exact_distribution(n)
+    census = enumerate_difficult_pairs(n)
+    assert sum(masses.values()) == 1
+    assert set(masses) == set(map(tuple, census))
+    uniform = Fraction(1, len(census))
+    assert sum(abs(p - uniform) for p in masses.values()) / 2 == tvd
+    assert max(masses.values()) / min(masses.values()) == max_min
+
+
+def test_coverage_tallies_fit_the_exact_distribution():
+    draws = 20_000
+    masses = _exact_distribution(5)
+    report = coverage_report(5, draws, random.Random(0))
+    assert set(report.frequencies) == set(masses)
+    for pair, p in masses.items():
+        z = (report.frequencies[pair] - draws * p) / math.sqrt(draws * p * (1 - p))
+        assert abs(z) < 4, (pair, z)
 
 
 @pytest.mark.parametrize("n, primitive", [(4, 8), (5, 0), (6, 0)])

@@ -1,13 +1,16 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 
-from conftest import tree_words
+from conftest import scan_by_descent, tree_words
 from treepairs import (
     Interval,
     MalformedWordError,
     NoParentError,
     NotInternalError,
     anchor_embedding,
+    enumerate_trees,
     grow,
     interval_of,
     intervals,
@@ -38,6 +41,25 @@ class TestParse:
     def test_malformed(self, bad):
         with pytest.raises(MalformedWordError):
             parse_word(bad)
+
+
+def test_parse_accepts_exactly_the_enumerated_words():
+    # every {0,1} string up to length 13 against the census of sizes 0..6
+    trees = {w for n in range(7) for w in enumerate_trees(n)}
+    accepted = set()
+    for length in range(14):
+        for symbols in product("01", repeat=length):
+            word = "".join(symbols)
+            try:
+                accepted.add(parse_word(word))
+            except MalformedWordError:
+                pass
+    assert accepted == trees
+
+
+@given(tree_words(min_size=0, max_size=30))
+def test_scan_matches_a_recursive_descent_parse(word):
+    assert word_scan(word) == scan_by_descent(word)
 
 
 class TestNavigation:
