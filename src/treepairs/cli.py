@@ -17,7 +17,7 @@ from .census import enumerate_difficult_pairs, enumerate_trees
 from .errors import MalformedWordError, TreePairError
 from .growth import growth_neighbors
 from .rotations import OneOffMove, exact_distance, parse_pair, reduce_pair, rotation_neighbors
-from .rotations import DISTANCE_GUARD, _reduction
+from .rotations import DISTANCE_GUARD, _pair_views, _reduction
 from .sampling import DEFAULT_SEED, sample_difficult_pair
 from .stats import coverage_report
 from .words import parse_word
@@ -37,7 +37,7 @@ def _cmd_sample(args):
 
 
 def _verdict(pair):
-    witness, pieces = _reduction(*pair)
+    witness, pieces = _reduction(_pair_views(pair))
     if witness is None:
         return "difficult" if pieces else "not difficult: identical"
     if isinstance(witness, OneOffMove):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .errors import NotInternalError
 from .words import TreeWord, subtree_end, word_scan
-from .words import _created, _interval_masks, _require_node
+from .words import _interval_masks, _require_node, _rotation_rows
 
 __all__ = [
     "grow",
@@ -85,6 +85,7 @@ def _grown_rows(words) -> list:
         scan = word_scan(word)
         parent, ends, lower, upper = scan
         has, makes = _interval_masks(scan, stride)
+        made_at = {i: made for i, _, _, made in _rotation_rows(scan, stride)}
         k = len(word) // 2
         entries = {}
         for i, end, right in _grow_sites(word, ends):
@@ -101,9 +102,8 @@ def _grown_rows(words) -> list:
                 step = beyond[b + 1] | column
                 stay = inside[b + 1] ^ column
             made = makes
-            if internal and i:
-                old = _created(scan, i)
-                made ^= 1 << old.lower * stride + old.upper
+            if i in made_at:
+                made ^= 1 << made_at[i]
             masks = []
             for mask in has, made:
                 kept = mask & stay
@@ -161,20 +161,27 @@ def remy_sample(n: int, rng) -> TreeWord:
     word = "0"
     for k in range(n):
         site = rng.randrange(2 * k + 1)
-        word = _grown(word, site, subtree_end(word, site), rng.randrange(2))
+        word = _grown(word, site, _subtree_end(word, site), rng.randrange(2))
     return TreeWord._trusted(word)
+
+
+def _subtree_end(word: str, index: int) -> int:
+    """``subtree_end`` for a word valid by construction, walking only the
+    subtree: a full scan at every grow step would make ``remy_sample``
+    quadratic."""
+    depth = 0
+    for j in range(index, len(word)):
+        depth += 1 if word[j] == "1" else -1
+        if depth < 0:
+            return j + 1
 
 
 def anchor_index(word: str) -> int:
     """Index of the internal node whose right child is the last leaf."""
-    if word == "0":
+    anchor = word_scan(word).parent[-1]
+    if anchor < 0:
         raise NotInternalError("the single-leaf tree has no internal nodes")
-    i = 0
-    while True:
-        right = subtree_end(word, i + 1)
-        if word[right] == "0":
-            return i
-        i = right
+    return anchor
 
 
 def spine_split(word: str) -> tuple:
@@ -185,7 +192,7 @@ def spine_split(word: str) -> tuple:
 
 def anchor_growth(word: str) -> TreeWord:
     """Grow left at the anchor: prefix + '1' + anchor subtree + '0'."""
-    return TreeWord(_grown(word, anchor_index(word), len(word), False))
+    return TreeWord._trusted(_grown(word, anchor_index(word), len(word), False))
 
 
 def anchor_embedding(word: str, index: int) -> int:

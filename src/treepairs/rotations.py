@@ -16,22 +16,24 @@ tests below exploit:
 alone holds the rule order: identical, smallest common interval, first
 one-off move in canonical order, difficult.  It scans each word once into a
 map from non-root interval to node; ``common_intervals``, ``one_off_moves``
-and ``split_at_common`` wrap that same view and cut.  ``is_difficult`` runs
-on the packed masks and pair filter of ``words``, the one production
-difficulty path; its set-based oracle lives in the tests.  ``exact_distance``
-is a bidirectional breadth-first search, independent of the reduction
-machinery so each can check the other.
+and ``split_at_common`` wrap that same view and cut, and the scan doubles
+as the input check.  ``is_difficult`` runs on the packed masks and pair
+filter of ``words``, the one production difficulty path; its set-based
+oracle lives in the tests.  Every rotation is read off ``_rotation_rows``
+and rebuilt by ``_rotated``.  ``exact_distance`` is an A* search that
+prunes with the same two lemmas the reduction rules rest on, so both are
+checked against a plain breadth-first search in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .errors import MalformedWordError, NoParentError, NotCommonError, SizeGuardExceededError
 from .words import Interval, TreeWord, word_scan
-from .words import _checked, _created, _difficult_pairs, _interval_masks, _require_internal
+from .words import _difficult_pairs, _interval_masks, _require_internal, _rotation_rows
 
 __all__ = [
     "TreePair",
@@ -49,6 +51,7 @@ __all__ = [
 ]
 
 DISTANCE_GUARD = 12
+STATE_BUDGET = 500_000  # words one exact_distance search may store, about 200 MB
 
 
 class TreePair(NamedTuple):
@@ -79,119 +82,133 @@ def parse_pair(text: str) -> TreePair:
     parts = text.split()
     if len(parts) != 2:
         raise MalformedWordError(f"expected two words separated by whitespace: {text!r}")
-    return TreePair(*_checked_pair(parts))
+    return TreePair(*(TreeWord._trusted(word) for word, _, _ in _pair_views(parts)))
 
 
-def _rotated(word: str, scan, index: int) -> str:
-    """Word with the internal, non-root node ``index`` promoted over its parent.
-
-    Only the promoted node's '1' moves: a left child's reappears between its
-    two subtrees, ((a b) c) -> (a (b c)); a right child's reappears in front
-    of its sibling, (a (b c)) -> ((a b) c).
-    """
-    up = scan.parent[index]
-    if index == up + 1:
-        cut = scan.subtree_end[index + 1]
-        return word[:index] + word[index + 1 : cut] + "1" + word[cut:]
-    return word[: up + 1] + "1" + word[up + 1 : index] + word[index + 1 :]
+def _rotated(word: str, node: int, target: int) -> str:
+    """``word`` with the '1' of ``node`` moved to index ``target``: the
+    rotation that a ``_rotation_rows`` row describes."""
+    if node < target:
+        return word[:node] + word[node + 1 : target + 1] + "1" + word[target + 1 :]
+    return word[:target] + "1" + word[target:node] + word[node + 1 :]
 
 
 def rotate(word: str, index: int) -> TreeWord:
     """Word of the tree where the node at ``index`` is promoted over its parent."""
-    _require_internal(word, index)
+    scan = _require_internal(word, index)
     if index == 0:
         raise NoParentError("the root cannot be rotated")
-    return TreeWord._trusted(_rotated(word, word_scan(word), index))
-
-
-@lru_cache(maxsize=65536)
-def _neighbor_words(word: str) -> tuple:
-    """Sorted words one rotation away; cached because searches revisit them."""
-    scan = word_scan(word)
-    return tuple(sorted(_rotated(word, scan, i) for i in range(1, len(word)) if word[i] == "1"))
+    target = next(j for i, j, _, _ in _rotation_rows(scan, len(word)) if i == index)
+    return TreeWord._trusted(_rotated(word, index, target))
 
 
 def rotation_neighbors(word: str) -> set:
     """All trees one rotation away; exactly n - 1 of them for a size-n tree."""
-    return {TreeWord._trusted(w) for w in _neighbor_words(str(_checked(word)))}
+    rows = _rotation_rows(word_scan(word), len(word))
+    return {TreeWord._trusted(_rotated(word, i, j)) for i, j, _, _ in rows}
 
 
 def exact_distance(pair, max_size: int = DISTANCE_GUARD) -> int:
     """Length of a shortest rotation sequence between the two trees of ``pair``.
 
-    Runs a level-synchronous bidirectional breadth-first search over the
-    implicit rotation graph, always expanding the smaller frontier.  The
-    search is exhaustive, so the guard caps the pair size to keep memory at
-    desk scale; raise it explicitly for bigger one-off queries.
+    Runs a best-first (A*) search from S.  A word's bound is the number of
+    T's non-root intervals it lacks: a rotation swaps exactly one interval,
+    so each move lowers the bound by at most one.  Two lemmas of Sleator,
+    Tarjan and Thurston (1988) prune every state's moves: a node whose
+    interval T has is never rotated, since the distance is additive over a
+    common interval, and a move creating an interval of T is played alone,
+    since it starts some shortest path.  A state with no such move wastes its
+    first move, so it goes back on the heap one step later and its moved
+    words are built only when it comes off again.  All search state belongs
+    to the call.  The guard caps the pair size, ``STATE_BUDGET`` the states
+    one search stores; beyond either the search raises
+    ``SizeGuardExceededError``.  Raise the guard explicitly for bigger
+    one-off queries.
     """
-    s, t = _checked_pair(pair)
-    if len(s) // 2 > max_size:
-        raise SizeGuardExceededError(
-            f"size {len(s) // 2} exceeds the search guard {max_size}"
-        )
+    (s, s_scan, _), (t, t_scan, _) = _pair_views(pair)
+    n = len(s) // 2
+    if n > max_size:
+        raise SizeGuardExceededError(f"size {n} exceeds the search guard {max_size}")
     if s == t:
         return 0
-    s, t = str(s), str(t)
-    dist_a = {s: 0}
-    dist_b = {t: 0}
-    frontier_a = [s]
-    frontier_b = [t]
-    while frontier_a and frontier_b:
-        if len(frontier_a) > len(frontier_b):
-            frontier_a, frontier_b = frontier_b, frontier_a
-            dist_a, dist_b = dist_b, dist_a
-        best = None
-        grown = []
-        for word in frontier_a:
-            through = dist_a[word] + 1
-            for neighbor in _neighbor_words(word):
-                if neighbor in dist_a:
+    stride = n + 1
+    goal = {key for _, _, key, _ in _rotation_rows(t_scan, stride)}
+    bound = len(goal - {key for _, _, key, _ in _rotation_rows(s_scan, stride)})
+    best = {s: 0}  # fewest moves known to reach each stored word
+    waiting = {}  # word -> (bound, moves) of states put back one step later
+    heap = [(bound, bound, s)]  # (moves + bound, bound, word)
+    while heap:
+        if len(best) > STATE_BUDGET:
+            raise SizeGuardExceededError(
+                f"the search stored {len(best)} states, over its budget of {STATE_BUDGET}"
+            )
+        f, h, word = heappop(heap)
+        g = f - h
+        if best[word] < g:
+            continue
+        held = waiting.pop(word, None)
+        if held is None:
+            moves = []
+            for i, j, key, made in _rotation_rows(word_scan(word), stride):
+                if key in goal:
                     continue
-                other = dist_b.get(neighbor)
-                if other is not None:
-                    total = through + other
-                    if best is None or total < best:
-                        best = total
-                    continue
-                dist_a[neighbor] = through
-                grown.append(neighbor)
-        if best is not None:
-            # the full level was expanded, so no shorter meeting exists
-            return best
-        frontier_a = grown
-    raise MalformedWordError("trees are not connected by rotations; malformed input?")
+                if made in goal:
+                    child = _rotated(word, i, j)
+                    if child == t:
+                        return g + 1
+                    if g + 1 < best.get(child, g + 2):
+                        best[child] = g + 1
+                        heappush(heap, (f, h - 1, child))
+                    break
+                moves.append((i, j))
+            else:
+                waiting[word] = h, moves
+                heappush(heap, (f + 1, h + 1, word))
+            continue
+        h, moves = held
+        f = g + 1 + h
+        for i, j in moves:
+            child = _rotated(word, i, j)
+            if g + 1 < best.get(child, g + 2):
+                best[child] = g + 1
+                heappush(heap, (f, h, child))
+    raise RuntimeError("the search ran out of states before reaching T; a pruning rule is broken")
 
 
-def _checked_pair(pair) -> tuple:
-    """The two words of ``pair``: raw strings are validated (``TreeWord``
-    values skip the check), and trees of different sizes raise
-    ``MalformedWordError``, as does anything but exactly two words."""
+def _pair_views(pair) -> tuple:
+    """The (S, T) views of ``pair``.  Scanning a word validates it, so raw
+    strings and ``TreeWord`` values are scanned exactly once; trees of
+    different sizes raise ``MalformedWordError``, as does anything but
+    exactly two words."""
     try:
         s, t = pair
     except (TypeError, ValueError):
         raise MalformedWordError(f"a pair is exactly two words, not {pair!r}") from None
-    s, t = _checked(s), _checked(t)
+    views = _view(s), _view(t)
     if len(s) != len(t):
         raise MalformedWordError(f"pair members differ in size: {s} {t}")
-    return s, t
+    return views
 
 
 def _view(word: str) -> tuple:
-    """(word, scan, nodes): one scan of the word and the map from each
-    non-root interval to its node, in word order."""
+    """(word, scan, nodes): the plain word, one scan of it and the map from
+    each non-root interval to its node, in word order."""
     scan = word_scan(word)
     lower, upper = scan.lower, scan.upper
-    return word, scan, {(lower[i], upper[i]): i for i in range(1, len(word)) if word[i] == "1"}
+    nodes = {(lower[i], upper[i]): i for i in range(1, len(word)) if word[i] == "1"}
+    return str(word), scan, nodes
 
 
 def _moves(views):
-    """One-off moves of the (S, T) views in canonical order: S side before
-    T side, nodes by word index."""
-    for side, (_, scan, nodes), (_, _, targets) in zip("ST", views, views[::-1]):
-        for i in nodes.values():
-            created = _created(scan, i)
+    """(move, target) for the one-off moves of the (S, T) views in canonical
+    order, S side before T side, nodes by word index; ``target`` is where
+    ``_rotated`` moves the node's '1'."""
+    for side, (word, scan, _), (_, _, targets) in zip("ST", views, views[::-1]):
+        stride = len(word)
+        for i, j, _, made in _rotation_rows(scan, stride):
+            created = divmod(made, stride)
             if created in targets:
-                yield OneOffMove(side, i, created)
+                yield OneOffMove(side, i, Interval(*created)), j
 
 
 def _split(views, common) -> tuple:
@@ -207,29 +224,29 @@ def _split(views, common) -> tuple:
     return tuple(zip(*cuts))
 
 
-def _reduction(s: str, t: str) -> tuple:
-    """The first reduction of the pair in rule order, as ``(witness, pieces)``:
-    ``(None, [])`` when identical, the smallest common ``Interval`` and the
-    split's inner and outer pairs, the first ``OneOffMove`` and the pair after
-    it, or ``(None, [(s, t)])`` when difficult.  Pieces are plain words."""
+def _reduction(views) -> tuple:
+    """The first reduction of the pair of (S, T) views in rule order, as
+    ``(witness, pieces)``: ``(None, [])`` when identical, the smallest common
+    ``Interval`` and the split's inner and outer pairs, the first
+    ``OneOffMove`` and the pair after it, or ``(None, [(s, t)])`` when
+    difficult.  Pieces are plain words."""
+    (s, _, s_nodes), (t, _, t_nodes) = views
     if s == t:
         return None, []
-    views = _view(s), _view(t)
-    commons = views[0][2].keys() & views[1][2].keys()
+    commons = s_nodes.keys() & t_nodes.keys()
     if commons:
         common = min(commons)
         return Interval(*common), list(_split(views, common))
-    move = next(_moves(views), None)
+    move, target = next(_moves(views), (None, None))
     if move is None:
         return None, [(s, t)]
-    word, scan, _ = views[move.side == "T"]
-    rotated = _rotated(word, scan, move.node)
+    rotated = _rotated(views[move.side == "T"][0], move.node, target)
     return move, [(rotated, t) if move.side == "S" else (s, rotated)]
 
 
 def common_intervals(pair) -> frozenset:
     """Intervals (root span excluded) present in both trees of the pair."""
-    (_, _, s_nodes), (_, _, t_nodes) = map(_view, _checked_pair(pair))
+    (_, _, s_nodes), (_, _, t_nodes) = _pair_views(pair)
     return frozenset(Interval(*common) for common in s_nodes.keys() & t_nodes.keys())
 
 
@@ -239,7 +256,7 @@ def one_off_moves(pair) -> list:
     Moves come out in a canonical order: S side before T side, nodes by
     word index.
     """
-    return list(_moves([_view(w) for w in _checked_pair(pair)]))
+    return [move for move, _ in _moves(_pair_views(pair))]
 
 
 def is_difficult(pair) -> bool:
@@ -249,9 +266,9 @@ def is_difficult(pair) -> bool:
     of different sizes raise ``MalformedWordError``.  Identical trees are
     never difficult: there is nothing left to solve.
     """
-    s, t = _checked_pair(pair)
-    stride = len(s) // 2 + 1
-    left, right = ([(w, *_interval_masks(word_scan(w), stride))] for w in (s, t))
+    views = _pair_views(pair)
+    stride = len(views[0][0]) // 2 + 1
+    left, right = ([(w, *_interval_masks(scan, stride))] for w, scan, _ in views)
     return bool(_difficult_pairs(left, right))
 
 
@@ -264,7 +281,7 @@ def split_at_common(pair, common) -> tuple:
     collapsed to a single leaf.  The two sizes always sum to the original.
     """
     lo, hi = common
-    views = [_view(w) for w in _checked_pair(pair)]
+    views = _pair_views(pair)
     return tuple(TreePair(*map(TreeWord._trusted, p)) for p in _split(views, Interval(lo, hi)))
 
 
@@ -278,17 +295,21 @@ def reduce_pair(pair) -> ReductionResult:
     flips and the lexicographically smallest common interval is used first,
     so the outcome is deterministic.  The exact distance of the input equals
     ``forced_moves`` plus the sum of exact distances of the components.
-    The input is checked once on entry, as ``is_difficult`` checks it.
+    The input is checked on entry by the same scans the first round uses,
+    and each later piece is scanned once unless it is already identical.
     """
     forced = 0
     components = []
-    pending = [tuple(map(str, _checked_pair(pair)))]
-    while pending:
-        witness, pieces = _reduction(*pending.pop())
+    pending = []
+    witness, pieces = _reduction(_pair_views(pair))
+    while True:
         if witness is None:
             components += pieces
         else:
             forced += isinstance(witness, OneOffMove)
-            pending.extend(pieces)
+            pending.extend((s, t) for s, t in pieces if s != t)
+        if not pending:
+            break
+        witness, pieces = _reduction(tuple(map(_view, pending.pop())))
     components.sort()
     return ReductionResult(forced, [TreePair(*map(TreeWord._trusted, p)) for p in components])

@@ -16,8 +16,8 @@ difficulty path: ``is_difficult`` and the census use them too.  A step scans
 the two parent words once and derives every grown neighbor's masks from the
 parent's by relabeling (``growth._grown_rows``), so no grown word is
 rescanned; ``words._interval_masks`` stays the one from-scratch builder,
-packing a ``word_scan`` through ``_created``, and a property test holds the
-derived masks against it.  The independent oracle, which parses the raw
+packing a ``word_scan`` through ``_rotation_rows``, and a property test
+holds the derived masks against it.  The independent oracle, which parses the raw
 words into tuple trees and rotates them, lives in the tests.
 
 Sampling is deterministic per (n, seed): drive it with ``random.Random(seed)``

@@ -12,9 +12,11 @@ Everything here is an immutable value and every function is pure, so the
 whole module is safe for unrestricted concurrent use.  Queries run off one
 right-to-left pass over the word (``word_scan``) that yields parents, subtree
 extents and interval bounds for every node; it alone decides what a word is.
+One kernel (``_rotation_rows``) reads every rotation off a scan: where the
+rotated node's '1' moves, the interval it loses and the one it creates.
 Difficulty tests pack a scanned word's non-root intervals and created
-intervals (``_created``) into two bit masks (``_interval_masks``) and read
-them through one pair filter (``_difficult_pairs``).
+intervals into two bit masks (``_interval_masks``) and read them through
+one pair filter (``_difficult_pairs``).
 """
 
 from __future__ import annotations
@@ -74,12 +76,6 @@ def parse_word(text: str) -> TreeWord:
     return TreeWord(text)
 
 
-def _checked(word: str) -> TreeWord:
-    """``word`` as a ``TreeWord``: raw strings are validated by ``parse_word``
-    and ``TreeWord`` values skip the check."""
-    return word if isinstance(word, TreeWord) else parse_word(word)
-
-
 class WordScan(NamedTuple):
     """Per-node tables for one word, built in a single linear pass.
 
@@ -132,27 +128,26 @@ def word_scan(word: str) -> WordScan:
     return WordScan(tuple(parents), tuple(ends), tuple(lowers), tuple(uppers))
 
 
-def _require_node(word: str, index: int) -> None:
+def _require_node(word: str, index: int) -> WordScan:
+    """The scan of ``word``, which validates it, once ``index`` names a node."""
     if not isinstance(word, str) or not 0 <= index < len(word):
         raise MalformedWordError(f"no node @{index} in {word!r}")
+    return word_scan(word)
 
 
-def _require_internal(word: str, index: int) -> None:
+def _require_internal(word: str, index: int) -> WordScan:
+    """The scan of ``word``, which validates it, once ``index`` names an
+    internal node."""
     if not isinstance(word, str):
         raise MalformedWordError(f"no node @{index} in {word!r}")
     if not 0 <= index < len(word) or word[index] != "1":
         raise NotInternalError(f"no internal node @{index} in {word!r}")
+    return word_scan(word)
 
 
 def subtree_end(word: str, index: int) -> int:
     """Exclusive end of the word slice holding the subtree rooted at ``index``."""
-    _require_node(word, index)
-    depth = 0
-    for j in range(index, len(word)):
-        depth += 1 if word[j] == "1" else -1
-        if depth < 0:
-            return j + 1
-    raise MalformedWordError(f"subtree at index {index} never closes: {word!r}")
+    return _require_node(word, index).subtree_end[index]
 
 
 def is_internal(word: str, index: int) -> bool:
@@ -169,22 +164,20 @@ def left_child(word: str, index: int) -> int:
 
 def right_child(word: str, index: int) -> int:
     """Index of the right child, found by skipping the left subtree."""
-    _require_internal(word, index)
-    return subtree_end(word, index + 1)
+    return _require_internal(word, index).subtree_end[index + 1]
 
 
 def parent(word: str, index: int) -> int:
     """Index of the parent node; the root (index 0) has none."""
-    _require_node(word, index)
+    scan = _require_node(word, index)
     if index == 0:
         raise NoParentError("the root has no parent")
-    return word_scan(word).parent[index]
+    return scan.parent[index]
 
 
 def interval_of(word: str, index: int) -> Interval:
     """Interval of the node at ``index``; a leaf spans the single label pair."""
-    _require_node(word, index)
-    scan = word_scan(word)
+    scan = _require_node(word, index)
     return Interval(scan.lower[index], scan.upper[index])
 
 
@@ -203,26 +196,45 @@ def intervals(word: str, include_root: bool = True) -> frozenset:
     )
 
 
-def _created(scan: WordScan, index: int) -> Interval:
-    """Interval created by rotating the internal, non-root node ``index``."""
-    up = scan.parent[index]
-    if index == up + 1:  # left child: spans from its right child to its parent
-        return Interval(scan.lower[scan.subtree_end[index + 1]], scan.upper[up])
-    return Interval(scan.lower[up], scan.upper[index + 1])
+def _rotation_rows(scan: WordScan, stride: int):
+    """Yield one row (node, target, key, made) per internal, non-root node
+    of a scanned word, in word order: the one kernel for rotations.
+
+    Rotating the node moves its '1' to index ``target`` (``_rotated`` in
+    ``rotations`` rebuilds the word) and swaps its interval, keyed ``key``,
+    for the created interval keyed ``made``; a key is lower * stride + upper,
+    so ``stride`` must exceed every leaf label.  A left child's '1'
+    reappears between its two subtrees and creates the span from its right
+    child to its parent; a right child's reappears in front of its sibling
+    and creates the span from its parent to its left child.
+    """
+    parents, ends, lower, upper = scan
+    for i in range(1, len(parents)):
+        low, high = lower[i], upper[i]
+        if high > low:  # spans two or more leaves: internal
+            up = parents[i]
+            if i == up + 1:
+                cut = ends[i + 1]
+                yield i, cut - 1, low * stride + high, lower[cut] * stride + upper[up]
+            else:
+                yield i, up + 1, low * stride + high, lower[up] * stride + upper[i + 1]
 
 
 def one_interval_of(word: str, index: int) -> Interval:
     """Interval created by rotating at the (internal, non-root) node ``index``."""
-    _require_internal(word, index)
+    scan = _require_internal(word, index)
     if index == 0:
         raise NoParentError("the root cannot be rotated")
-    return _created(word_scan(word), index)
+    stride = len(word)
+    made = next(made for i, _, _, made in _rotation_rows(scan, stride) if i == index)
+    return Interval(*divmod(made, stride))
 
 
 def one_intervals(word: str) -> frozenset:
     """Intervals creatable by a single rotation; one per non-root internal node."""
-    scan = word_scan(word)
-    return frozenset(_created(scan, i) for i in range(1, len(word)) if word[i] == "1")
+    stride = len(word)
+    rows = _rotation_rows(word_scan(word), stride)
+    return frozenset(Interval(*divmod(made, stride)) for _, _, _, made in rows)
 
 
 def _interval_masks(scan: WordScan, stride: int) -> tuple:
@@ -230,22 +242,16 @@ def _interval_masks(scan: WordScan, stride: int) -> tuple:
     word into two bit masks keyed by lower * stride + upper, for
     ``_difficult_pairs``.
 
-    Both are read off ``scan``: a node is internal exactly when its interval
-    spans two or more leaves, and its created interval is ``_created``'s.
-    ``stride`` must exceed every leaf label so keys stay distinct; callers
-    compare masks only between words of equal length and stride.
+    Both are read off the rows of ``_rotation_rows``.  ``stride`` must
+    exceed every leaf label so keys stay distinct; callers compare masks
+    only between words of equal length and stride.
     """
     nbytes = (stride * stride + 7) >> 3
     has = bytearray(nbytes)
     makes = bytearray(nbytes)
-    lower, upper = scan.lower, scan.upper
-    for i in range(1, len(lower)):
-        if upper[i] > lower[i]:
-            key = lower[i] * stride + upper[i]
-            has[key >> 3] |= 1 << (key & 7)
-            made = _created(scan, i)
-            key = made.lower * stride + made.upper
-            makes[key >> 3] |= 1 << (key & 7)
+    for _, _, key, made in _rotation_rows(scan, stride):
+        has[key >> 3] |= 1 << (key & 7)
+        makes[made >> 3] |= 1 << (made & 7)
     return int.from_bytes(has, "little"), int.from_bytes(makes, "little")
 
 

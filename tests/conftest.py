@@ -68,6 +68,44 @@ def _rotations(tree):
         yield left, rotated
 
 
+@lru_cache(maxsize=None)
+def _neighbor_trees(tree):
+    return tuple(_rotations(tree))
+
+
+def bfs_distance(s, t):
+    """Rotation distance of two same-size tree words by a plain
+    bidirectional breadth-first search over tuple trees, always growing the
+    smaller frontier: the oracle for ``exact_distance`` and the reduction
+    rules, sharing no bound, pruning rule or ``treepairs`` code with them."""
+    a, b = _tree(str(s)), _tree(str(t))
+    if a == b:
+        return 0
+    dist_a, dist_b = {a: 0}, {b: 0}
+    frontier_a, frontier_b = [a], [b]
+    while True:
+        if len(frontier_a) > len(frontier_b):
+            frontier_a, frontier_b = frontier_b, frontier_a
+            dist_a, dist_b = dist_b, dist_a
+        best = None
+        grown = []
+        for tree in frontier_a:
+            through = dist_a[tree] + 1
+            for neighbor in _neighbor_trees(tree):
+                if neighbor in dist_a:
+                    continue
+                if neighbor in dist_b:
+                    total = through + dist_b[neighbor]
+                    best = total if best is None else min(best, total)
+                    continue
+                dist_a[neighbor] = through
+                grown.append(neighbor)
+        if best is not None:
+            # the full level was grown, so no shorter meeting exists
+            return best
+        frontier_a = grown
+
+
 @lru_cache(maxsize=4096)
 def interval_sets(word):
     """(intervals, created): the non-root intervals of ``word`` and the

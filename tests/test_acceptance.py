@@ -9,7 +9,7 @@ import random
 import time
 from collections import Counter
 
-from conftest import difficult_by_recomputation
+from conftest import bfs_distance, difficult_by_recomputation
 from treepairs import (
     anchor_growth,
     anchor_index,
@@ -147,9 +147,11 @@ def test_c06_reduction_correctness():
             pair = (remy_sample(n, rng), remy_sample(n, rng))
             outcome = reduce_pair(pair)
             recombined = outcome.forced_moves + sum(
-                exact_distance(c) for c in outcome.components
+                bfs_distance(*c) for c in outcome.components
             )
-            assert exact_distance(pair) == recombined
+            expected = bfs_distance(*pair)
+            assert recombined == expected
+            assert exact_distance(pair) == expected
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0
     announce(6, f"4000 pairs: distance == forced + sum(components), {elapsed:.1f}s")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import treepairs
-from conftest import difficult_by_recomputation, tree_pairs, tree_words
+from conftest import bfs_distance, difficult_by_recomputation, tree_pairs, tree_words
 from treepairs import (
     MalformedWordError,
     NoParentError,
@@ -12,13 +12,18 @@ from treepairs import (
     NotInternalError,
     SizeGuardExceededError,
     TreePair,
+    anchor_embedding,
+    anchor_index,
     common_intervals,
+    enumerate_trees,
     exact_distance,
     grow,
     growth_neighbors,
     interval_of,
     intervals,
     is_difficult,
+    is_internal,
+    left_child,
     one_interval_of,
     one_intervals,
     one_off_moves,
@@ -27,10 +32,13 @@ from treepairs import (
     parse_word,
     reduce_pair,
     remy_sample,
+    right_child,
     rotate,
     rotation_neighbors,
     sample_difficult_pair,
+    spine_split,
     split_at_common,
+    subtree_end,
     word_scan,
 )
 
@@ -61,11 +69,39 @@ PAIR_ENTRY_POINTS = (
         (intervals, None),
         (lambda w: rotate(w, 1), None),
         (lambda w: grow(w, 0), None),
+        (spine_split, "1x0"),
+        (spine_split, "10100x"),
+        (anchor_index, "1x0"),
+        (lambda w: subtree_end(w, 0), "1x0"),
+        (lambda w: left_child(w, 0), "1x0"),
+        (lambda w: right_child(w, 0), "1x0"),
+        (lambda w: is_internal(w, 0), "abc"),
+        (lambda w: anchor_embedding(w, 1), "1x0"),
     ],
 )
 def test_word_entry_points_reject_junk(entry, junk):
     with pytest.raises(MalformedWordError):
         entry(junk)
+
+
+@pytest.mark.parametrize(
+    "query, expected",
+    [
+        (is_difficult, 2),
+        (common_intervals, 2),
+        (one_off_moves, 2),
+        (lambda pair: rotation_neighbors(pair[0]), 1),
+    ],
+)
+def test_raw_words_are_scanned_once(query, expected, monkeypatch):
+    # scanning a word validates it, so a raw word needs no separate check
+    rng = random.Random(3)
+    pair = (str(remy_sample(1000, rng)), str(remy_sample(1000, rng)))
+    scans = []
+    for module in (treepairs.words, treepairs.rotations):
+        monkeypatch.setattr(module, "word_scan", lambda w: scans.append(w) or word_scan(w))
+    query(pair)
+    assert len(scans) == expected
 
 
 class TestRotate:
@@ -132,6 +168,28 @@ class TestDistance:
     def test_size_mismatch(self):
         with pytest.raises(MalformedWordError):
             exact_distance(("100", "11000"))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_the_bfs_oracle_on_every_small_pair(self, n):
+        trees = enumerate_trees(n)
+        mismatches = [
+            (s, t) for s in trees for t in trees if exact_distance((s, t)) != bfs_distance(s, t)
+        ]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_matches_the_bfs_oracle_on_difficult_pairs(self, n):
+        for seed in range(6):
+            s, t = sample_difficult_pair(n, random.Random(seed))
+            assert exact_distance((s, t)) == bfs_distance(s, t) >= n
+
+    def test_state_budget(self, monkeypatch):
+        pair = sample_difficult_pair(10, random.Random(1))
+        assert exact_distance(pair) >= 10
+        monkeypatch.setattr(treepairs.rotations, "STATE_BUDGET", 50)
+        with pytest.raises(SizeGuardExceededError, match=r"stored (\d+) states") as caught:
+            exact_distance(pair)
+        assert int(caught.value.args[0].split()[3]) > 50
 
     @given(tree_pairs(max_size=7))
     def test_symmetry(self, pair):
@@ -283,8 +341,8 @@ class TestSplitAndReduce:
     @given(tree_pairs(min_size=2, max_size=8))
     def test_reduce_preserves_distance(self, pair):
         outcome = reduce_pair(pair)
-        total = outcome.forced_moves + sum(exact_distance(c) for c in outcome.components)
-        assert exact_distance(pair) == total
+        total = outcome.forced_moves + sum(bfs_distance(*c) for c in outcome.components)
+        assert bfs_distance(*pair) == total
 
     @given(tree_pairs(min_size=2, max_size=8), st.randoms(use_true_random=False))
     def test_split_sizes_sum(self, pair, rng):
