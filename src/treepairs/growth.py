@@ -22,7 +22,7 @@ platform.  Share nothing else: one generator per thread.
 from __future__ import annotations
 
 from .errors import NotInternalError
-from .words import TreeWord, subtree_end, word_scan
+from .words import TreeWord, word_scan
 from .words import _interval_masks, _require_node, _rotation_rows
 
 __all__ = [
@@ -136,7 +136,8 @@ def grow(word: str, index: int, side: str = "left") -> TreeWord:
     the ``side`` child, and a fresh leaf fills the other slot."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-    return TreeWord(_grown(word, index, subtree_end(word, index), side == "right"))
+    end = _require_node(word, index).subtree_end[index]
+    return TreeWord._trusted(_grown(word, index, end, side == "right"))
 
 
 def growth_neighbors(word: str) -> set:
@@ -202,6 +203,7 @@ def anchor_embedding(word: str, index: int) -> int:
     after it shift one place right, past the inserted '1'.  The symbol at
     the image always equals the symbol at the source.
     """
-    _require_node(word, index)
-    cut = anchor_index(word)
+    cut = _require_node(word, index).parent[-1]
+    if cut < 0:
+        raise NotInternalError("the single-leaf tree has no internal nodes")
     return index + 1 if index >= cut else index

@@ -15,14 +15,17 @@ tests below exploit:
 ``reduce_pair`` and the ``check`` command share one reduction step, which
 alone holds the rule order: identical, smallest common interval, first
 one-off move in canonical order, difficult.  It scans each word once into a
-map from non-root interval to node; ``common_intervals``, ``one_off_moves``
-and ``split_at_common`` wrap that same view and cut, and the scan doubles
-as the input check.  ``is_difficult`` runs on the packed masks and pair
-filter of ``words``, the one production difficulty path; its set-based
-oracle lives in the tests.  Every rotation is read off ``_rotation_rows``
-and rebuilt by ``_rotated``.  ``exact_distance`` is an A* search that
-prunes with the same two lemmas the reduction rules rest on, so both are
-checked against a plain breadth-first search in the tests.
+map from non-root interval to node; the scan doubles as the input check,
+and ``common_intervals``, ``one_off_moves`` and ``split_at_common`` wrap
+that same view and cut.  A split at one common interval keeps the others
+and makes none, so the step cuts at all of them in one pass; a move played
+on a pair with none leaves exactly one, its created interval, which the
+step cuts at once, since the rotated node sits at the move's target.
+``is_difficult`` runs on the packed masks and pair filter of ``words``, the
+one production difficulty path; its set-based oracle lives in the tests.
+Every rotation is read off ``_rotation_rows`` and rebuilt by ``_rotated``.
+``exact_distance`` is an A* search that prunes with the same two lemmas the
+reduction rules rest on; the tests check both against a plain BFS.
 """
 
 from __future__ import annotations
@@ -211,37 +214,49 @@ def _moves(views):
                 yield OneOffMove(side, i, Interval(*created)), j
 
 
-def _split(views, common) -> tuple:
-    """The (inner, outer) pairs of plain words left by cutting both words
-    of the (S, T) views at the interval ``common``."""
-    cuts = []
-    for word, scan, nodes in views:
-        if common not in nodes:
-            raise NotCommonError("({},{}) is not a non-root interval of {!r}".format(*common, word))
-        i = nodes[common]
-        end = scan.subtree_end[i]
-        cuts.append((word[i:end], word[:i] + "0" + word[end:]))
-    return tuple(zip(*cuts))
+def _cut(word: str, spans) -> list:
+    """The pieces of ``word`` cut at the (start, end) slices ``spans``, given
+    in word order, each nested in or disjoint from the others: the outside
+    piece, then one per span, each with the spans right inside it as leaves."""
+    cuts = [[0, len(word)]]  # per piece: its start, each child's start and end, its end
+    stack = cuts[:]  # the pieces around the next span; they nest up to n deep
+    for start, end in spans:
+        while stack[-1][-1] <= start:
+            stack.pop()
+        stack[-1][-1:-1] = start, end
+        cuts.append([start, end])
+        stack.append(cuts[-1])
+    return ["0".join(word[a:b] for a, b in zip(cut[::2], cut[1::2])) for cut in cuts]
+
+
+def _split(sides, commons) -> list:
+    """The (S, T) pieces of both words cut at every interval of ``commons``,
+    the outside pair first; ``sides`` holds (word, nodes) for S and T.  The
+    node of [lo, hi] heads 2 * (hi - lo) + 1 symbols, so no word is scanned."""
+    order = sorted(commons, key=lambda c: (c[0], -c[1]))  # word order in every tree
+    cuts = [_cut(w, [(m[c], m[c] + 2 * (c[1] - c[0]) + 1) for c in order]) for w, m in sides]
+    return list(zip(*cuts))
 
 
 def _reduction(views) -> tuple:
     """The first reduction of the pair of (S, T) views in rule order, as
     ``(witness, pieces)``: ``(None, [])`` when identical, the smallest common
-    ``Interval`` and the split's inner and outer pairs, the first
-    ``OneOffMove`` and the pair after it, or ``(None, [(s, t)])`` when
-    difficult.  Pieces are plain words."""
+    ``Interval`` and the cut at every common interval, the first
+    ``OneOffMove`` and the cut at the interval it creates, or
+    ``(None, [(s, t)])`` when difficult.  Pieces are plain words."""
     (s, _, s_nodes), (t, _, t_nodes) = views
     if s == t:
         return None, []
+    sides = [(s, s_nodes), (t, t_nodes)]
     commons = s_nodes.keys() & t_nodes.keys()
     if commons:
-        common = min(commons)
-        return Interval(*common), list(_split(views, common))
+        return Interval(*min(commons)), _split(sides, commons)
     move, target = next(_moves(views), (None, None))
     if move is None:
         return None, [(s, t)]
-    rotated = _rotated(views[move.side == "T"][0], move.node, target)
-    return move, [(rotated, t) if move.side == "S" else (s, rotated)]
+    flip = move.side == "T"
+    sides[flip] = _rotated(sides[flip][0], move.node, target), {move.created: target}
+    return move, _split(sides, [move.created])
 
 
 def common_intervals(pair) -> frozenset:
@@ -280,27 +295,26 @@ def split_at_common(pair, common) -> tuple:
     leaf labels restart at 0) and ``outer`` is the pair with that subtree
     collapsed to a single leaf.  The two sizes always sum to the original.
     """
-    lo, hi = common
     views = _pair_views(pair)
-    return tuple(TreePair(*map(TreeWord._trusted, p)) for p in _split(views, Interval(lo, hi)))
+    ints = isinstance(common, tuple | list) and list(map(type, common)) == [int, int]
+    if not (ints and all(tuple(common) in nodes for _, _, nodes in views)):
+        raise NotCommonError(f"{common!r} is not a non-root interval of both trees")
+    outer, inner = _split([(word, nodes) for word, _, nodes in views], [tuple(common)])
+    return TreePair(*map(TreeWord._trusted, inner)), TreePair(*map(TreeWord._trusted, outer))
 
 
 def reduce_pair(pair) -> ReductionResult:
     """Apply every known-safe reduction until only difficult pieces remain.
 
-    Identical pieces are dropped, common intervals split a piece in two, and
-    when neither applies but a one-off move exists the first move in
-    canonical order is played (counting toward ``forced_moves``) which
-    creates a common interval for the next round.  Splits are preferred over
-    flips and the lexicographically smallest common interval is used first,
-    so the outcome is deterministic.  The exact distance of the input equals
+    Identical pieces are dropped, a piece is cut at all its common intervals
+    at once, and a piece with none but a one-off move plays the first move
+    in canonical order (counting toward ``forced_moves``) and is cut at the
+    interval it creates.  The exact distance of the input equals
     ``forced_moves`` plus the sum of exact distances of the components.
-    The input is checked on entry by the same scans the first round uses,
-    and each later piece is scanned once unless it is already identical.
+    The input is checked by the first round's scans, and each later piece
+    is scanned once unless it is already identical.
     """
-    forced = 0
-    components = []
-    pending = []
+    forced, components, pending = 0, [], []
     witness, pieces = _reduction(_pair_views(pair))
     while True:
         if witness is None:

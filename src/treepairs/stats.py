@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 from .census import PAIR_GUARD, enumerate_difficult_pairs
@@ -124,13 +124,7 @@ class ReductionProfile:
     resolved_fraction: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "samples": self.samples,
-            "mean_largest_fraction": self.mean_largest_fraction,
-            "mean_forced_moves": self.mean_forced_moves,
-            "resolved_fraction": self.resolved_fraction,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

@@ -3,7 +3,7 @@ from functools import lru_cache
 
 from hypothesis import settings, strategies as st
 
-from treepairs import remy_sample
+from treepairs import common_intervals, one_off_moves, remy_sample, rotate, split_at_common
 
 settings.register_profile("pkg", deadline=None)
 settings.load_profile("pkg")
@@ -130,6 +130,31 @@ def difficult_by_recomputation(s, t):
     s_has, s_makes = interval_sets(str(s))
     t_has, t_makes = interval_sets(str(t))
     return s_has.isdisjoint(t_has) and s_makes.isdisjoint(t_has) and t_makes.isdisjoint(s_has)
+
+
+def replay_reduce(pair):
+    """(rounds, forced, components) of ``reduce_pair`` replayed one rule per
+    round through the public rules: split at the smallest common interval,
+    else play the first one-off move, else keep a difficult component.  A
+    round takes one non-identical piece off the stack."""
+    rounds, forced, components, pending = 0, 0, [], [tuple(pair)]
+    while pending:
+        s, t = pending.pop()
+        if s == t:
+            continue
+        rounds += 1
+        commons = common_intervals((s, t))
+        if commons:
+            pending.extend(split_at_common((s, t), min(commons)))
+            continue
+        moves = one_off_moves((s, t))
+        if not moves:
+            components.append((s, t))
+            continue
+        side, node, _ = moves[0]
+        forced += 1
+        pending.append((rotate(s, node), t) if side == "S" else (s, rotate(t, node)))
+    return rounds, forced, sorted(components)
 
 
 @st.composite

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given
 
+import treepairs
 from conftest import tree_words
 from treepairs import (
     MalformedWordError,
@@ -24,6 +25,28 @@ from treepairs import (
     spine_split,
     word_scan,
 )
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda word: grow(word, 7),
+        lambda word: grow(word, 7, "right"),
+        lambda word: grow(word, len(word) - 1),
+        lambda word: anchor_embedding(word, 7),
+        lambda word: anchor_embedding(word, len(word) - 1),
+    ],
+    ids=["grow-left", "grow-right", "grow-at-leaf", "embed-node", "embed-leaf"],
+)
+def test_raw_words_are_scanned_once(query, monkeypatch):
+    # the scan that checks the word and index also gives the subtree end
+    # and the anchor, and a grown word is valid by construction
+    word = str(remy_sample(1000, random.Random(3)))
+    scans = []
+    for module in (treepairs.words, treepairs.growth):
+        monkeypatch.setattr(module, "word_scan", lambda w: scans.append(w) or word_scan(w))
+    query(word)
+    assert len(scans) == 1
 
 
 class TestGrow:
@@ -106,6 +129,8 @@ class TestAnchor:
     def test_anchor_of_single_leaf(self):
         with pytest.raises(NotInternalError):
             anchor_index("0")
+        with pytest.raises(NotInternalError):
+            anchor_embedding("0", 0)
 
     def test_anchor_growth_examples(self):
         assert anchor_growth("100") == "11000"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import treepairs
-from conftest import bfs_distance, difficult_by_recomputation, tree_pairs, tree_words
+from conftest import bfs_distance, difficult_by_recomputation, replay_reduce, tree_pairs, tree_words
 from treepairs import (
     MalformedWordError,
     NoParentError,
@@ -69,6 +69,8 @@ PAIR_ENTRY_POINTS = (
         (intervals, None),
         (lambda w: rotate(w, 1), None),
         (lambda w: grow(w, 0), None),
+        (lambda w: grow(w, 0), "1x0"),
+        (lambda w: grow(w, 0), "1000"),
         (spine_split, "1x0"),
         (spine_split, "10100x"),
         (anchor_index, "1x0"),
@@ -295,35 +297,24 @@ class TestSplitAndReduce:
                 with pytest.raises(MalformedWordError):
                     check(pair)
 
-    def test_reduce_scans_each_word_once_per_round(self, monkeypatch):
+    def test_split_rejects_an_interval_that_is_not_a_pair_of_ints(self):
+        for common in (5, None, (0.0, 1.0), (0, 1, 2)):
+            with pytest.raises(NotCommonError):
+                split_at_common(("1100100", "1110000"), common)
+
+    def test_reduce_scans_each_word_once_per_unforced_round(self, monkeypatch):
+        # a forced move's pair is cut at its created interval without a
+        # scan, and a piece is cut at all its common intervals in one round
         rng = random.Random(200)
         pair = (remy_sample(200, rng), remy_sample(200, rng))
-        # replay the rule order through the public rules, counting the
-        # non-identical pieces taken off the queue
-        rounds, forced, components, pending = 0, 0, [], [pair]
-        while pending:
-            s, t = pending.pop()
-            if s == t:
-                continue
-            rounds += 1
-            commons = common_intervals((s, t))
-            if commons:
-                pending.extend(split_at_common((s, t), min(commons)))
-                continue
-            moves = one_off_moves((s, t))
-            if not moves:
-                components.append((s, t))
-                continue
-            side, node, _ = moves[0]
-            forced += 1
-            pending.append((rotate(s, node), t) if side == "S" else (s, rotate(t, node)))
+        rounds, forced, components = replay_reduce(pair)
         scans = []
         for module in (treepairs.words, treepairs.rotations):
             monkeypatch.setattr(module, "word_scan", lambda w: scans.append(w) or word_scan(w))
         outcome = reduce_pair(pair)
         assert outcome.forced_moves == forced > 0
-        assert outcome.components == sorted(components)
-        assert rounds > 50 and len(scans) <= 2 * rounds
+        assert outcome.components == components
+        assert rounds > 50 and len(scans) <= 2 * (rounds - forced)
 
     def test_difficult_pairs_are_fixed_points(self):
         pair = TreePair("101011000", "111010000")
@@ -351,6 +342,44 @@ class TestSplitAndReduce:
             return
         inner, outer = split_at_common(pair, rng.choice(sorted(commons)))
         assert len(inner.s) + len(outer.s) == len(pair[0]) + 1
+
+
+class TestReduceMatchesTheOneRuleReplay:
+    """``reduce_pair`` cuts at every common interval at once and cuts a
+    forced move's pair where the move lands; the replay takes one public
+    rule per round, so both must give the same moves and components."""
+
+    @staticmethod
+    def check(pair):
+        _, forced, components = replay_reduce(pair)
+        outcome = reduce_pair(pair)
+        assert (outcome.forced_moves, outcome.components) == (forced, components)
+
+    @given(tree_pairs(min_size=1, max_size=8))
+    def test_small_pairs(self, pair):
+        self.check(pair)
+
+    @pytest.mark.parametrize("n", [20, 50, 120, 300])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_uniform_pairs(self, n, seed):
+        rng = random.Random(seed)
+        self.check((remy_sample(n, rng), remy_sample(n, rng)))
+
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    def test_difficult_pairs_and_one_move_off(self, n):
+        s, t = sample_difficult_pair(n, random.Random(n))
+        self.check((s, t))
+        for node in range(1, len(s)):
+            if s[node] == "1":
+                self.check((rotate(s, node), t))
+
+    def test_deeply_nested_common_intervals(self):
+        # a left comb and its rotation at the root's left child share 998
+        # nested intervals, which the cut holds on its explicit stack
+        comb = "1" * 1000 + "0" * 1001
+        pair = (comb, rotate(comb, 1))
+        assert len(common_intervals(pair)) == 998
+        self.check(pair)
 
 
 def test_parse_pair():

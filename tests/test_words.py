@@ -94,6 +94,7 @@ OUT_OF_RANGE = [
     (is_internal, 7, MalformedWordError),
     (subtree_end, -1, MalformedWordError),
     (anchor_embedding, 99, MalformedWordError),
+    (anchor_embedding, -1, MalformedWordError),
     (grow, 7, MalformedWordError),
     (left_child, -3, NotInternalError),
     (right_child, 9, NotInternalError),
