@@ -11,7 +11,7 @@ import math
 
 from .errors import SizeGuardExceededError
 from .rotations import TreePair
-from .words import TreeWord, _difficult_pairs, _interval_masks, word_scan
+from .words import TreeWord, _difficult_pairs, _interval_masks, _require_count, word_scan
 
 __all__ = [
     "catalan",
@@ -38,6 +38,7 @@ _PRIMITIVE_PAIRS = (
 
 def catalan(n: int) -> int:
     """Number of extended ordered binary trees with ``n`` internal nodes."""
+    _require_count(n, "size")
     return math.comb(2 * n, n) // (n + 1)
 
 
@@ -47,9 +48,8 @@ def enumerate_trees(n: int, max_size: int = TREE_GUARD) -> list:
     Generated by a backtracking walk that tries '0' before '1', so the
     output needs no sort; the count is always Catalan(n).
     """
-    if n < 0:
-        raise ValueError("tree size cannot be negative")
-    if n > max_size:
+    _require_count(n, "size")
+    if n > _require_count(max_size, "max_size"):
         raise SizeGuardExceededError(f"size {n} exceeds the census guard {max_size}")
     words = []
     symbols = []
@@ -73,7 +73,8 @@ def enumerate_trees(n: int, max_size: int = TREE_GUARD) -> list:
 
 def enumerate_difficult_pairs(n: int, max_size: int = PAIR_GUARD) -> list:
     """All ordered difficult pairs of size ``n`` in lexicographic order."""
-    if n > max_size:
+    _require_count(n, "size")
+    if n > _require_count(max_size, "max_size"):
         raise SizeGuardExceededError(f"size {n} exceeds the census guard {max_size}")
     rows = [
         (w, *_interval_masks(word_scan(w), n + 1))

@@ -6,7 +6,8 @@ class TreePairError(Exception):
 
 
 class MalformedWordError(TreePairError, ValueError):
-    """Input text is not a valid pre-order tree word (or pair of them)."""
+    """Input is not a valid pre-order tree word (or pair of them), or names
+    no node or grow side of one."""
 
 
 class NoParentError(TreePairError):
@@ -30,4 +31,5 @@ class SizeGuardExceededError(TreePairError):
 
 
 class SizeTooSmallError(TreePairError, ValueError):
-    """Difficult pairs only exist from size 4 upward."""
+    """A size, count or size guard is not an int or is below its least
+    value; difficult pairs, for one, only exist from size 4 upward."""

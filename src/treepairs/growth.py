@@ -21,9 +21,9 @@ platform.  Share nothing else: one generator per thread.
 
 from __future__ import annotations
 
-from .errors import NotInternalError
+from .errors import MalformedWordError, NotInternalError
 from .words import TreeWord, word_scan
-from .words import _interval_masks, _require_node, _rotation_rows
+from .words import _interval_masks, _require_count, _require_node, _rotation_rows
 
 __all__ = [
     "grow",
@@ -46,24 +46,33 @@ def _grown(word: str, index: int, end: int, right: bool) -> str:
 
 
 def _grow_sites(word: str, ends) -> list:
-    """Every grow site of ``word`` as (index, subtree end, right); a leaf
-    grows on the left only, since both of its sides give one word."""
+    """Every grow site of ``word`` as (index, subtree end, right), one per
+    distinct grown word.
+
+    Growing right at a node, or at a leaf (whose two sides give one word),
+    inserts "10" at its index, which repeats the insertion two places back
+    when "10" stands there.  Growing left at a left child whose sibling is a
+    leaf repeats growing left at the parent.  No other two sites meet.
+    """
     sites = []
     for i, end in enumerate(ends):
-        sites.append((i, end, False))
-        if word[i] == "1":
+        internal = word[i] == "1"
+        repeats = i > 1 and word[i - 2 : i] == "10"
+        if not (repeats and not internal or word[i - 1 : i] == "1" and word[end] == "0"):
+            sites.append((i, end, False))
+        if internal and not repeats:
             sites.append((i, end, True))
     return sites
 
 
 def _grown_rows(words) -> list:
-    """For each of ``words``, the (grown word, has, makes) rows of its distinct
-    growth neighbors in lexicographic order, with the masks that
-    ``_interval_masks(word_scan(grown), stride)`` builds for a stride of the
-    largest size + 2, which exceeds every label of a grown word.
+    """For each of ``words``, the (grown word, has, makes, query, key) rows
+    of its growth neighbors in lexicographic order, with the fields
+    that ``_interval_masks(word_scan(grown), stride)`` builds for a stride of
+    the largest size + 2, which exceeds every label of a grown word.
 
-    Each given word is scanned once; its masks are packed from that scan and
-    its grown words are never scanned.  Growing at a node v with
+    Each given word is scanned once; its fields are packed from that scan
+    and its grown words are never scanned.  Growing at a node v with
     interval [a, b] relabels the other nodes' intervals and created intervals
     region by region of the packed table (rows are lower bounds, columns
     upper bounds): bits in ``stay`` keep their key, bits in ``step`` move one
@@ -71,6 +80,14 @@ def _grown_rows(words) -> list:
     only the new node's interval and the created intervals of v and the new
     node change.  A created interval crosses exactly one tree interval, so no
     two nodes share a created bit and clearing v's old one is safe.
+
+    The cherry ints ``ch`` and ``cm`` (bit x for [x, x + 1], packed as
+    ``_interval_masks`` does) sit on the table's diagonal, which no big-int
+    op slices out, so a few small-int ops relabel them: bits in ``keep``
+    stay, bits from ``cut`` up move one place, and the rest widen off the
+    diagonal.  Growing right, x <= a - 2 stays and x >= a moves; growing
+    left, x <= b - 1 stays, except a - 1 at a leaf v, and x > b moves.  The
+    fixed bits are those of the masks that are cherries.
     """
     stride = max(len(w) for w in words) // 2 + 2
     lift = stride + 1
@@ -84,50 +101,60 @@ def _grown_rows(words) -> list:
     for word in words:
         scan = word_scan(word)
         parent, ends, lower, upper = scan
-        has, makes = _interval_masks(scan, stride)
-        made_at = {i: made for i, _, _, made in _rotation_rows(scan, stride)}
+        has, makes, _, cherry_key = _interval_masks(scan, stride)
+        ch, cm = cherry_key & full, cherry_key >> stride
+        made_at = {}  # node: (its created bit, its created cherry bit or 0)
+        for i, _, _, made in _rotation_rows(scan, stride):
+            made_at[i] = 1 << made, 1 << made // lift if made % lift == 1 else 0
         k = len(word) // 2
-        entries = {}
+        rows = []
         for i, end, right in _grow_sites(word, ends):
             grown = _grown(word, i, end, right)
-            if grown in entries:
-                continue
             a, b = lower[i], upper[i]
             internal = word[i] == "1"
             if right:  # fresh leaf a: labels >= a shift; in row a only spans past b keep lower a
                 step = beyond[a] | full >> b + 1 << a * stride + b + 1
                 stay = inside[a]
+                cut, keep = a, (1 << a) - 1 >> 1
             else:  # fresh leaf b + 1: labels > b shift, and so do v's ancestors ending at b
                 column = repeat[a] << b
                 step = beyond[b + 1] | column
                 stay = inside[b + 1] ^ column
-            made = makes
+                cut, keep = b + 1, (1 << b) - 1 if internal else (1 << a) - 1 >> 1
+            made, cherries = makes, cm
             if i in made_at:
-                made ^= 1 << made_at[i]
-            masks = []
-            for mask in has, made:
-                kept = mask & stay
-                moved = mask & step
-                masks.append(kept | moved << 1 | (mask ^ kept ^ moved) << lift)
-            new_has, new_makes = masks
+                made_bit, cherry_bit = made_at[i]
+                made ^= made_bit
+                cherries ^= cherry_bit
+            kept, moved = has & stay, has & step
+            new_has = kept | moved << 1 | (has ^ kept ^ moved) << lift
+            kept, moved = made & stay, made & step
+            new_makes = kept | moved << 1 | (made ^ kept ^ moved) << lift
+            new_ch = ch & keep | ch >> cut << cut + 1
+            new_cm = cherries & keep | cherries >> cut << cut + 1
             if i:  # the new node [a, b + 1] takes v's place below v's parent p
                 p = parent[i]
                 new_has |= 1 << a * stride + b + 1
+                new_ch |= (not internal) << a
                 if i == p + 1:
-                    key = (a + 1 if right else b + 1) * stride + upper[p] + 1
+                    low, high = (a + 1 if right else b + 1), upper[p] + 1
                 else:
-                    key = lower[p] * stride + (a if right else b)
-                new_makes |= 1 << key
+                    low, high = lower[p], (a if right else b)
+                new_makes |= 1 << low * stride + high
+                new_cm |= (high == low + 1) << low
             elif internal:  # the old root is now a child, and its span counts
                 new_has |= 1 << (stride + k + 1 if right else k)
+                new_ch |= (k == 1) << (1 if right else 0)
             if internal:
                 if right:
-                    key = a * stride + upper[i + 1] + 1
+                    low, high = a, upper[i + 1] + 1
                 else:
-                    key = lower[ends[i + 1]] * stride + b + 1
-                new_makes |= 1 << key
-            entries[grown] = (grown, new_has, new_makes)
-        found.append(sorted(entries.values()))
+                    low, high = lower[ends[i + 1]], b + 1
+                new_makes |= 1 << low * stride + high
+                new_cm |= (high == low + 1) << low
+            query, key = new_ch | new_cm | new_ch << stride, new_ch | new_cm << stride
+            rows.append((grown, new_has, new_makes, query, key))
+        found.append(sorted(rows))
     return found
 
 
@@ -135,17 +162,18 @@ def grow(word: str, index: int, side: str = "left") -> TreeWord:
     """Grow at the node ``index``: a new node takes its place, the node becomes
     the ``side`` child, and a fresh leaf fills the other slot."""
     if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+        raise MalformedWordError(f"side must be 'left' or 'right', not {side!r}")
     end = _require_node(word, index).subtree_end[index]
     return TreeWord._trusted(_grown(word, index, end, side == "right"))
 
 
 def growth_neighbors(word: str) -> set:
-    """Distinct trees reachable by one grow step; at most 3n + 1 of them.
+    """Distinct trees reachable by one grow step: 2n of them from size
+    n >= 1, and "100" from "0".
 
-    Growing a leaf to the left and to the right gives the same tree, which
-    is why the bound is 3n + 1 rather than 2(2n + 1) and why the result is a
-    set: sampling layers treat each distinct neighbor once.
+    Of the 3n + 1 grow sites (a leaf's two sides give one tree) n + 1
+    repeat another's tree, which is why the result is a set: sampling
+    layers treat each distinct neighbor once.
     """
     sites = _grow_sites(word, word_scan(word).subtree_end)
     return {TreeWord._trusted(_grown(word, *site)) for site in sites}
@@ -157,8 +185,7 @@ def remy_sample(n: int, rng) -> TreeWord:
     Each step picks one of the current 2k + 1 nodes and a side uniformly at
     random from ``rng``, which makes every size-n tree equally likely.
     """
-    if n < 0:
-        raise ValueError("tree size cannot be negative")
+    _require_count(n, "size")
     word = "0"
     for k in range(n):
         site = rng.randrange(2 * k + 1)

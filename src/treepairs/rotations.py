@@ -36,7 +36,8 @@ from typing import NamedTuple
 
 from .errors import MalformedWordError, NoParentError, NotCommonError, SizeGuardExceededError
 from .words import Interval, TreeWord, word_scan
-from .words import _difficult_pairs, _interval_masks, _require_internal, _rotation_rows
+from .words import _difficult_pairs, _interval_masks, _require_count, _require_internal
+from .words import _rotation_rows
 
 __all__ = [
     "TreePair",
@@ -82,7 +83,7 @@ class ReductionResult:
 
 def parse_pair(text: str) -> TreePair:
     """Parse a "word word" line into a validated same-size pair."""
-    parts = text.split()
+    parts = text.split() if isinstance(text, str) else ()
     if len(parts) != 2:
         raise MalformedWordError(f"expected two words separated by whitespace: {text!r}")
     return TreePair(*(TreeWord._trusted(word) for word, _, _ in _pair_views(parts)))
@@ -130,7 +131,7 @@ def exact_distance(pair, max_size: int = DISTANCE_GUARD) -> int:
     """
     (s, s_scan, _), (t, t_scan, _) = _pair_views(pair)
     n = len(s) // 2
-    if n > max_size:
+    if n > _require_count(max_size, "max_size"):
         raise SizeGuardExceededError(f"size {n} exceeds the search guard {max_size}")
     if s == t:
         return 0

@@ -7,18 +7,21 @@ uniformly at random.  The candidate list is never empty because growing
 both trees left at their anchors always yields another difficult pair, so
 the loop cannot strand.
 
-The inner difficulty filter has to look at ~(3k + 1)^2 candidate pairs per
-step, so each neighbor's interval set and created-interval set are packed
-into big-int bit masks (a 2-D presence table with key lower * stride +
-upper) and the three disjointness conditions cost two integer ANDs.  Those
-masks and that filter live in ``words`` and are the one production
-difficulty path: ``is_difficult`` and the census use them too.  A step scans
-the two parent words once and derives every grown neighbor's masks from the
+The inner difficulty filter has to look at (2k)^2 candidate pairs per step
+(a size-k tree has 2k growth neighbors), so each neighbor's interval set
+and created-interval set are packed into big-int bit masks (a 2-D presence
+table with key lower * stride + upper) and the three disjointness
+conditions cost two integer ANDs.  Before those, one AND of two narrow
+ints that hold only the cherry intervals [x, x + 1] rejects about 90% of
+the candidates at n = 100.  Those fields
+and that filter live in ``words`` and are the one production difficulty
+path: ``is_difficult`` and the census use them too.  A step scans the two
+parent words once and derives every grown neighbor's fields from the
 parent's by relabeling (``growth._grown_rows``), so no grown word is
 rescanned; ``words._interval_masks`` stays the one from-scratch builder,
 packing a ``word_scan`` through ``_rotation_rows``, and a property test
-holds the derived masks against it.  The independent oracle, which parses the raw
-words into tuple trees and rotates them, lives in the tests.
+holds the derived fields against it.  The independent oracle, which parses
+the raw words into tuple trees and rotates them, lives in the tests.
 
 Sampling is deterministic per (n, seed): drive it with ``random.Random(seed)``
 (Mersenne Twister, bit-stable across platforms).  The distribution is not
@@ -33,10 +36,10 @@ from __future__ import annotations
 import random
 
 from .census import primitive_pairs
-from .errors import NotDifficultError, SizeTooSmallError
+from .errors import NotDifficultError
 from .growth import _grown_rows
 from .rotations import TreePair, is_difficult
-from .words import TreeWord, _difficult_pairs
+from .words import TreeWord, _difficult_pairs, _require_count
 
 __all__ = [
     "DEFAULT_SEED",
@@ -83,8 +86,7 @@ def pair_choices(pair) -> list:
 
 
 def _sample(n, rng):
-    if n < MIN_SIZE:
-        raise SizeTooSmallError(f"size must be >= {MIN_SIZE}")
+    _require_count(n, "size", MIN_SIZE)
     s, t = _STARTS[rng.randrange(len(_STARTS))]
     counts = []
     for _ in range(n - MIN_SIZE):

@@ -11,7 +11,8 @@ from functools import lru_cache
 from .census import PAIR_GUARD, enumerate_difficult_pairs
 from .growth import remy_sample
 from .rotations import TreePair, reduce_pair
-from .sampling import sample_difficult_pair
+from .sampling import MIN_SIZE, sample_difficult_pair
+from .words import _require_count
 
 __all__ = ["CoverageReport", "ReductionProfile", "coverage_report", "reduction_profile"]
 
@@ -90,6 +91,8 @@ def coverage_report(n: int, samples: int, rng) -> CoverageReport:
     distinct word: a ``TreeWord`` takes about twice the memory of a ``str``,
     and callers may keep many reports.
     """
+    _require_count(n, "size", MIN_SIZE)
+    _require_count(samples, "samples")
     frequencies = Counter()
     words = {}
     for _ in range(samples):
@@ -147,6 +150,8 @@ def reduction_profile(n: int, samples: int, rng) -> ReductionProfile:
     The largest-component fraction of a fully resolved pair counts as 0, so
     the mean reflects how much of a random instance survives reduction.
     """
+    _require_count(n, "size")
+    _require_count(samples, "samples")
     total_fraction = 0.0
     total_forced = 0
     resolved = 0

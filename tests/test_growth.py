@@ -76,7 +76,7 @@ class TestGrow:
     @given(tree_words(max_size=30))
     def test_neighbor_bound(self, word):
         found = growth_neighbors(word)
-        assert len(found) <= 3 * word.size + 1
+        assert len(found) == 2 * word.size
         for neighbor in found:
             assert neighbor.size == word.size + 1
 

@@ -41,12 +41,19 @@ def _mask_to_set(mask, stride):
 @given(tree_words(max_size=25), st.integers(0, 3))
 def test_masks_agree_with_interval_sets(word, pad):
     stride = word.size + 2 + pad
-    has, makes = _interval_masks(word_scan(word), stride)
-    assert (_mask_to_set(has, stride), _mask_to_set(makes, stride)) == interval_sets(word)
+    has, makes, query, key = _interval_masks(word_scan(word), stride)
+    spans, created = interval_sets(word)
+    assert (_mask_to_set(has, stride), _mask_to_set(makes, stride)) == (spans, created)
+    # the cherry fields: bit x marks [x, x + 1]
+    ch = sum(1 << low for low, high in spans if high == low + 1)
+    cm = sum(1 << low for low, high in created if high == low + 1)
+    assert (query, key) == (ch | cm | ch << stride, ch | cm << stride)
 
 
 @given(tree_words(min_size=0, max_size=25), tree_words(min_size=0, max_size=25))
-@example(TreeWord("0"), TreeWord("100"))
+@example(TreeWord("0"), TreeWord("100"))  # k = 1: the old root span [0, 1] or [1, 2] is a cherry
+@example(TreeWord("10100"), TreeWord("11000"))  # leaf growth next to a cherry, on either side
+@example(TreeWord("1011000"), TreeWord("1100100"))
 def test_grown_rows_equal_masks_built_from_scratch(word, other):
     # the grown words have labels up to the larger size + 1
     stride = max(word.size, other.size) + 2
