@@ -6,132 +6,20 @@ search, reduction rules for tree pairs, Remy-style growth, exhaustive
 censuses at desk scale, a sampler that draws difficult pairs of any size
 >= 4, and coverage statistics.  The ``treepairs`` command line exposes all
 of it; every random routine takes an explicit ``random.Random`` so runs are
-reproducible by seed.
+reproducible by seed.  Each public name is declared once, in the
+``__all__`` of the module that defines it, and re-exported here.
 """
 
-from .census import (
-    PAIR_GUARD,
-    TREE_GUARD,
-    catalan,
-    enumerate_difficult_pairs,
-    enumerate_trees,
-    primitive_pairs,
-)
-from .errors import (
-    MalformedWordError,
-    NoParentError,
-    NotCommonError,
-    NotDifficultError,
-    NotInternalError,
-    SizeGuardExceededError,
-    SizeTooSmallError,
-    TreePairError,
-)
-from .growth import (
-    anchor_embedding,
-    anchor_growth,
-    anchor_index,
-    grow,
-    growth_neighbors,
-    remy_sample,
-    spine_split,
-)
-from .rotations import (
-    OneOffMove,
-    ReductionResult,
-    TreePair,
-    common_intervals,
-    exact_distance,
-    is_difficult,
-    one_off_moves,
-    parse_pair,
-    reduce_pair,
-    rotate,
-    rotation_neighbors,
-    split_at_common,
-)
-from .sampling import (
-    DEFAULT_SEED,
-    MIN_SIZE,
-    pair_choices,
-    sample_difficult_pair,
-    sample_with_choice_counts,
-)
-from .stats import CoverageReport, ReductionProfile, coverage_report, reduction_profile
-from .words import (
-    Interval,
-    TreeWord,
-    WordScan,
-    interval_of,
-    intervals,
-    is_internal,
-    left_child,
-    one_interval_of,
-    one_intervals,
-    parent,
-    parse_word,
-    right_child,
-    subtree_end,
-    word_scan,
-)
+from . import census, errors, growth, rotations, sampling, stats, words
+from .census import *
+from .errors import *
+from .growth import *
+from .rotations import *
+from .sampling import *
+from .stats import *
+from .words import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Interval",
-    "TreeWord",
-    "WordScan",
-    "TreePair",
-    "OneOffMove",
-    "ReductionResult",
-    "CoverageReport",
-    "ReductionProfile",
-    "TreePairError",
-    "MalformedWordError",
-    "NoParentError",
-    "NotInternalError",
-    "NotCommonError",
-    "NotDifficultError",
-    "SizeGuardExceededError",
-    "SizeTooSmallError",
-    "parse_word",
-    "parse_pair",
-    "word_scan",
-    "is_internal",
-    "left_child",
-    "right_child",
-    "parent",
-    "subtree_end",
-    "interval_of",
-    "intervals",
-    "one_interval_of",
-    "one_intervals",
-    "rotate",
-    "rotation_neighbors",
-    "exact_distance",
-    "common_intervals",
-    "one_off_moves",
-    "is_difficult",
-    "split_at_common",
-    "reduce_pair",
-    "grow",
-    "growth_neighbors",
-    "remy_sample",
-    "anchor_index",
-    "spine_split",
-    "anchor_growth",
-    "anchor_embedding",
-    "catalan",
-    "enumerate_trees",
-    "enumerate_difficult_pairs",
-    "primitive_pairs",
-    "TREE_GUARD",
-    "PAIR_GUARD",
-    "sample_difficult_pair",
-    "sample_with_choice_counts",
-    "pair_choices",
-    "coverage_report",
-    "reduction_profile",
-    "DEFAULT_SEED",
-    "MIN_SIZE",
-]
+_MODULES = (census, errors, growth, rotations, sampling, stats, words)
+__all__ = [name for module in _MODULES for name in module.__all__]

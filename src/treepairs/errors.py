@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "TreePairError",
+    "MalformedWordError",
+    "NoParentError",
+    "NotInternalError",
+    "NotCommonError",
+    "NotDifficultError",
+    "SizeGuardExceededError",
+    "SizeTooSmallError",
+]
+
 
 class TreePairError(Exception):
     """Base class for all domain errors raised by this package."""

@@ -12,20 +12,22 @@ tests below exploit:
   exists in the other, and some shortest path starts with it;
 * a *difficult pair* admits neither, so no first move is known to be safe.
 
-``reduce_pair`` and the ``check`` command share one reduction step, which
-alone holds the rule order: identical, smallest common interval, first
-one-off move in canonical order, difficult.  It scans each word once into a
-map from non-root interval to node; the scan doubles as the input check,
-and ``common_intervals``, ``one_off_moves`` and ``split_at_common`` wrap
-that same view and cut.  A split at one common interval keeps the others
-and makes none, so the step cuts at all of them in one pass; a move played
-on a pair with none leaves exactly one, its created interval, which the
-step cuts at once, since the rotated node sits at the move's target.
-``is_difficult`` runs on the packed masks and pair filter of ``words``, the
-one production difficulty path; its set-based oracle lives in the tests.
-Every rotation is read off ``_rotation_rows`` and rebuilt by ``_rotated``.
-``exact_distance`` is an A* search that prunes with the same two lemmas the
-reduction rules rest on; the tests check both against a plain BFS.
+``reduce_pair``, ``is_difficult`` and the ``check`` command share one
+reduction step, which alone holds the rule order: identical, smallest
+common interval, first one-off move in canonical order, difficult.  It
+scans each word once into a map from non-root interval to node; the scan
+doubles as the input check, and ``common_intervals``, ``one_off_moves`` and
+``split_at_common`` wrap that same view and cut.  A split at one common
+interval keeps the others and makes none, so the step cuts at all of them
+in one pass; a move played on a pair with none leaves exactly one, its
+created interval, which the step cuts at once, since the rotated node sits
+at the move's target.  A pair is difficult when that step finds it neither
+identical nor cut; the packed masks of ``words`` decide difficulty only in
+batches, for the sampler and the census.  The set-based oracle for both
+lives in the tests.  Every rotation is read off ``_rotation_rows`` and
+rebuilt by ``_rotated``.  ``exact_distance`` is an A* search that prunes
+with the same two lemmas the reduction rules rest on; the tests check both
+against a plain BFS.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ from typing import NamedTuple
 
 from .errors import MalformedWordError, NoParentError, NotCommonError, SizeGuardExceededError
 from .words import Interval, TreeWord, word_scan
-from .words import _difficult_pairs, _interval_masks, _require_count, _require_internal
-from .words import _rotation_rows
+from .words import _require_count, _require_internal, _rotation_rows
 
 __all__ = [
     "TreePair",
@@ -278,14 +279,12 @@ def one_off_moves(pair) -> list:
 def is_difficult(pair) -> bool:
     """True when the pair has no common intervals and no one-off moves.
 
-    Raw strings are validated (``TreeWord`` values skip the check) and trees
-    of different sizes raise ``MalformedWordError``.  Identical trees are
-    never difficult: there is nothing left to solve.
+    Decided by the reduction step, which scans each word once and so
+    validates it; trees of different sizes raise ``MalformedWordError``.
+    Identical trees are never difficult: there is nothing left to solve.
     """
-    views = _pair_views(pair)
-    stride = len(views[0][0]) // 2 + 1
-    left, right = ([(w, *_interval_masks(scan, stride))] for w, scan, _ in views)
-    return bool(_difficult_pairs(left, right))
+    witness, pieces = _reduction(_pair_views(pair))
+    return witness is None and bool(pieces)
 
 
 def split_at_common(pair, common) -> tuple:

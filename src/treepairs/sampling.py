@@ -13,11 +13,11 @@ and created-interval set are packed into big-int bit masks (a 2-D presence
 table with key lower * stride + upper) and the three disjointness
 conditions cost two integer ANDs.  Before those, one AND of two narrow
 ints that hold only the cherry intervals [x, x + 1] rejects about 90% of
-the candidates at n = 100.  Those fields
-and that filter live in ``words`` and are the one production difficulty
-path: ``is_difficult`` and the census use them too.  A step scans the two
-parent words once and derives every grown neighbor's fields from the
-parent's by relabeling (``growth._grown_rows``), so no grown word is
+the candidates at n = 100.  Those fields and that filter live in ``words``
+and are the batch difficulty path, shared with the census; a single pair
+(``is_difficult``) goes through the reduction step instead.  A step scans
+the two parent words once and derives every grown neighbor's fields from
+the parent's by relabeling (``growth._grown_rows``), so no grown word is
 rescanned; ``words._interval_masks`` stays the one from-scratch builder,
 packing a ``word_scan`` through ``_rotation_rows``, and a property test
 holds the derived fields against it.  The independent oracle, which parses

@@ -54,6 +54,8 @@ class Interval(NamedTuple):
 class TreeWord(str):
     """A pre-order tree word validated by ``word_scan``; behaves as a plain string."""
 
+    __slots__ = ()  # no per-word __dict__: censuses hold millions of words
+
     def __new__(cls, text: str) -> "TreeWord":
         word_scan(text)
         return super().__new__(cls, text)

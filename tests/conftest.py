@@ -123,8 +123,8 @@ def interval_sets(word):
 
 def difficult_by_recomputation(s, t):
     """Difficulty recomputed from interval and created-interval sets of
-    tuple trees parsed from the raw words: the oracle for the packed masks
-    that ``is_difficult``, the census and the sampler share."""
+    tuple trees parsed from the raw words: the oracle for ``is_difficult``
+    and for the packed masks that the census and the sampler share."""
     if s == t:
         return False
     s_has, s_makes = interval_sets(str(s))

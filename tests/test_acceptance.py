@@ -135,8 +135,8 @@ def test_c05_counting_identities():
         for _ in range(1000):
             word = remy_sample(n, rng)
             assert len(rotation_neighbors(word)) == n - 1
-            assert len(growth_neighbors(word)) <= 3 * n + 1
-    announce(5, "30000 trees: n-1 rotations, growth neighbors <= 3n+1")
+            assert len(growth_neighbors(word)) == 2 * n
+    announce(5, "30000 trees: n-1 rotations, 2n growth neighbors")
 
 
 def test_c06_reduction_correctness():
@@ -211,7 +211,7 @@ def test_c10_performance_contract():
     assert len(pair.s) == 201
     for step, count in enumerate(choice_counts):
         size_before = 4 + step
-        assert count <= (3 * size_before + 1) ** 2
+        assert count <= (2 * size_before) ** 2
     announce(10, f"t50 = {t50:.2f}s, t100 = {t100:.2f}s, ratio = {t100 / t50:.1f}")
 
 

@@ -1,6 +1,8 @@
 """Every public function answers or raises a ``TreePairError`` on junk input."""
 
+import importlib
 import inspect
+import pkgutil
 import random
 
 import pytest
@@ -37,9 +39,42 @@ JUNK = st.one_of(
 )
 PAIRS = st.one_of(JUNK, st.tuples(JUNK, JUNK), st.tuples(JUNK, JUNK, JUNK))
 
+# The package surface, pinned so that adding or losing a public name is a
+# deliberate edit here.
+PUBLIC_NAMES = [
+    "CoverageReport", "DEFAULT_SEED", "Interval", "MIN_SIZE", "MalformedWordError",
+    "NoParentError", "NotCommonError", "NotDifficultError", "NotInternalError",
+    "OneOffMove", "PAIR_GUARD", "ReductionProfile", "ReductionResult",
+    "SizeGuardExceededError", "SizeTooSmallError", "TREE_GUARD", "TreePair",
+    "TreePairError", "TreeWord", "WordScan", "anchor_embedding", "anchor_growth",
+    "anchor_index", "catalan", "common_intervals", "coverage_report",
+    "enumerate_difficult_pairs", "enumerate_trees", "exact_distance", "grow",
+    "growth_neighbors", "interval_of", "intervals", "is_difficult", "is_internal",
+    "left_child", "one_interval_of", "one_intervals", "one_off_moves", "pair_choices",
+    "parent", "parse_pair", "parse_word", "primitive_pairs", "reduce_pair",
+    "reduction_profile", "remy_sample", "right_child", "rotate", "rotation_neighbors",
+    "sample_difficult_pair", "sample_with_choice_counts", "spine_split",
+    "split_at_common", "subtree_end", "word_scan",
+]
+
 FUNCTIONS = sorted(
     name for name in treepairs.__all__ if inspect.isfunction(getattr(treepairs, name))
 )
+
+
+def test_public_surface_is_pinned():
+    assert sorted(treepairs.__all__) == PUBLIC_NAMES
+    assert len(set(treepairs.__all__)) == len(treepairs.__all__)
+    for name in treepairs.__all__:
+        assert hasattr(treepairs, name), name
+    for info in pkgutil.iter_modules(treepairs.__path__):
+        if info.name == "__main__":
+            continue  # running it is the command line, not a library import
+        module = importlib.import_module(f"treepairs.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            value = vars(module)[name]
+            if inspect.isclass(value) or inspect.isfunction(value):
+                assert value.__module__ == module.__name__, name
 
 
 @pytest.mark.parametrize("name", FUNCTIONS)

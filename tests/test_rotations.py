@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -248,6 +249,21 @@ class TestPairPredicates:
                 assert is_difficult((str(u), v)) == verdict
                 verdicts.add(verdict)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("other", ["remy", "rotated"])
+    def test_memory_stays_linear_at_n_10000(self, other):
+        # a k^2-bit mask per word would take about 12.5 MB at this size; the
+        # rotated word shares about 10,000 intervals that a full cut splits at
+        s = str(remy_sample(10_000, random.Random(6)))
+        t = str(remy_sample(10_000, random.Random(5)) if other == "remy" else rotate(s, 1))
+        tracemalloc.start()
+        try:
+            verdict = is_difficult((s, t))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not verdict
+        assert peak < 20_000_000
 
     def test_rejects_invalid_symbols(self):
         for check in PAIR_ENTRY_POINTS:
