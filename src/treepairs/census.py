@@ -2,7 +2,8 @@
 
 These enumerations exist to cross-check the fast paths at desk scale, so
 both carry deliberate size guards (override ``max_size`` to push further;
-the pair census costs Catalan(n)^2 difficulty checks).
+the pair census runs the packed-row filter of ``growth`` on all
+Catalan(n)^2 pairs).
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import math
 
 from .errors import SizeGuardExceededError
 from .rotations import TreePair
-from .words import TreeWord, _difficult_pairs, _interval_masks, _require_count, word_scan
+from .growth import _difficult_pairs, _filter_row, _interval_masks
+from .words import TreeWord, _require_count, word_scan
 
 __all__ = [
     "catalan",
@@ -77,7 +79,7 @@ def enumerate_difficult_pairs(n: int, max_size: int = PAIR_GUARD) -> list:
     if n > _require_count(max_size, "max_size"):
         raise SizeGuardExceededError(f"size {n} exceeds the census guard {max_size}")
     rows = [
-        (w, *_interval_masks(word_scan(w), n + 1))
+        _filter_row(w, n + 1, *_interval_masks(word_scan(w), n + 1)[:4])
         for w in enumerate_trees(n, max_size=max(n, TREE_GUARD))
     ]
     return [TreePair(s, t) for s, t in _difficult_pairs(rows, rows)]

@@ -231,13 +231,14 @@ def _cut(word: str, spans) -> list:
     return ["0".join(word[a:b] for a, b in zip(cut[::2], cut[1::2])) for cut in cuts]
 
 
-def _split(sides, commons) -> list:
-    """The (S, T) pieces of both words cut at every interval of ``commons``,
-    the outside pair first; ``sides`` holds (word, nodes) for S and T.  The
-    node of [lo, hi] heads 2 * (hi - lo) + 1 symbols, so no word is scanned."""
+def _split(sides, commons):
+    """Yield the (S, T) pieces of both words cut at every interval of
+    ``commons``, the outside pair first; ``sides`` holds (word, nodes) for S
+    and T.  The node of [lo, hi] heads 2 * (hi - lo) + 1 symbols, so no word
+    is scanned."""
     order = sorted(commons, key=lambda c: (c[0], -c[1]))  # word order in every tree
     cuts = [_cut(w, [(m[c], m[c] + 2 * (c[1] - c[0]) + 1) for c in order]) for w, m in sides]
-    return list(zip(*cuts))
+    yield from zip(*cuts)
 
 
 def _reduction(views) -> tuple:
@@ -245,7 +246,9 @@ def _reduction(views) -> tuple:
     ``(witness, pieces)``: ``(None, [])`` when identical, the smallest common
     ``Interval`` and the cut at every common interval, the first
     ``OneOffMove`` and the cut at the interval it creates, or
-    ``(None, [(s, t)])`` when difficult.  Pieces are plain words."""
+    ``(None, [(s, t)])`` when difficult.  Pieces are plain words, cut only
+    when read; ``bool(pieces)`` is read only when the witness is None, and
+    the pieces are then a list."""
     (s, _, s_nodes), (t, _, t_nodes) = views
     if s == t:
         return None, []

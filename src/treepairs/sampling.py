@@ -8,20 +8,15 @@ both trees left at their anchors always yields another difficult pair, so
 the loop cannot strand.
 
 The inner difficulty filter has to look at (2k)^2 candidate pairs per step
-(a size-k tree has 2k growth neighbors), so each neighbor's interval set
-and created-interval set are packed into big-int bit masks (a 2-D presence
-table with key lower * stride + upper) and the three disjointness
-conditions cost two integer ANDs.  Before those, one AND of two narrow
-ints that hold only the cherry intervals [x, x + 1] rejects about 90% of
-the candidates at n = 100.  Those fields and that filter live in ``words``
-and are the batch difficulty path, shared with the census; a single pair
-(``is_difficult``) goes through the reduction step instead.  A step scans
-the two parent words once and derives every grown neighbor's fields from
-the parent's by relabeling (``growth._grown_rows``), so no grown word is
-rescanned; ``words._interval_masks`` stays the one from-scratch builder,
-packing a ``word_scan`` through ``_rotation_rows``, and a property test
-holds the derived fields against it.  The independent oracle, which parses
-the raw words into tuple trees and rotates them, lives in the tests.
+(a size-k tree has 2k growth neighbors), so it runs on the packed rows of
+``growth`` (see ``growth._filter_row``): two bit masks make the three
+disjointness conditions two integer ANDs, and before them one AND of two
+narrow cherry fields rejects about 90% of the candidates at n = 100.  A
+step scans the two parent words once and derives every grown neighbor's row
+from its parent's fields (``growth._grown_rows``).  A single pair
+(``is_difficult``) goes through the reduction step instead.  The
+independent oracle, which parses raw words into tuple trees and rotates
+them, lives in the tests.
 
 Sampling is deterministic per (n, seed): drive it with ``random.Random(seed)``
 (Mersenne Twister, bit-stable across platforms).  The distribution is not
@@ -37,9 +32,9 @@ import random
 
 from .census import primitive_pairs
 from .errors import NotDifficultError
-from .growth import _grown_rows
+from .growth import _difficult_pairs, _grown_rows
 from .rotations import TreePair, is_difficult
-from .words import TreeWord, _difficult_pairs, _require_count
+from .words import TreeWord, _require_count
 
 __all__ = [
     "DEFAULT_SEED",

@@ -14,10 +14,8 @@ right-to-left pass over the word (``word_scan``) that yields parents, subtree
 extents and interval bounds for every node; it alone decides what a word is.
 One kernel (``_rotation_rows``) reads every rotation off a scan: where the
 rotated node's '1' moves, the interval it loses and the one it creates.
-Difficulty tests pack a scanned word's non-root intervals and created
-intervals into two bit masks, plus two narrow cherry fields that hold only
-the intervals [x, x + 1] (``_interval_masks``), and read them through one
-pair filter (``_difficult_pairs``) that tries the cherry fields first.
+The reduction step in ``rotations`` and the packed difficulty rows in
+``growth`` are both read off it.
 """
 
 from __future__ import annotations
@@ -250,55 +248,3 @@ def one_intervals(word: str) -> frozenset:
     rows = _rotation_rows(scan, stride)
     return frozenset(Interval(*divmod(made, stride)) for _, _, _, made in rows)
 
-
-def _interval_masks(scan: WordScan, stride: int) -> tuple:
-    """The filter fields (has, makes, query, key) of a scanned word, for
-    ``_difficult_pairs``.
-
-    ``has`` and ``makes`` pack the non-root intervals and the created
-    intervals into two bit masks keyed by lower * stride + upper, both read
-    off the rows of ``_rotation_rows``.  ``stride`` must exceed every leaf
-    label so keys stay distinct; callers compare fields only between words
-    of equal length and stride.
-
-    ``query`` and ``key`` are the cherry fields.  With ``ch`` holding bit x
-    when the cherry [x, x + 1] is a non-root interval and ``cm`` when it is
-    a created interval, query = ch | cm | ch << stride and key = ch | cm <<
-    stride, so ``u_query & v_key`` is nonzero when U and V share a cherry or
-    one has a cherry the other creates; two created cherries alone do not
-    conflict.  ``growth._grown_rows`` packs them the same way.
-    """
-    nbytes = (stride * stride + 7) >> 3
-    has = bytearray(nbytes)
-    makes = bytearray(nbytes)
-    lift = stride + 1  # [x, x + 1] is keyed x * lift + 1, and no other key is 1 mod lift
-    ch = cm = 0
-    for _, _, key, made in _rotation_rows(scan, stride):
-        has[key >> 3] |= 1 << (key & 7)
-        makes[made >> 3] |= 1 << (made & 7)
-        if key % lift == 1:
-            ch |= 1 << key // lift
-        if made % lift == 1:
-            cm |= 1 << made // lift
-    query = ch | cm | ch << stride
-    return int.from_bytes(has, "little"), int.from_bytes(makes, "little"), query, ch | cm << stride
-
-
-def _difficult_pairs(left, right):
-    """Every difficult (u, v) over two lists of (word, has, makes, query,
-    key) rows, in row order: no common interval, no interval of one side
-    creatable in the other, and u != v.
-
-    The cherry fields hold a subset of the masks' bits, and nearly every
-    rejected pair already conflicts on a cherry (over 99.8% of the rejects
-    in an n = 100 sample), so one AND of the ~2k-bit cherry fields goes
-    first.  Only the pairs that pass it pay the two ANDs of the ~k^2-bit
-    masks and the word compare."""
-    found = []
-    for u_word, u_has, u_makes, u_query, _ in left:
-        u_blocked = u_has | u_makes
-        for v_word, v_has, v_makes, _, v_key in right:
-            if u_query & v_key or u_blocked & v_has or v_makes & u_has or u_word == v_word:
-                continue
-            found.append((u_word, v_word))
-    return found

@@ -42,6 +42,7 @@ from treepairs import (
     subtree_end,
     word_scan,
 )
+from treepairs.cli import _verdict
 
 # every public entry point that takes a pair and nothing else
 PAIR_ENTRY_POINTS = (
@@ -331,6 +332,24 @@ class TestSplitAndReduce:
         assert outcome.forced_moves == forced > 0
         assert outcome.components == components
         assert rounds > 50 and len(scans) <= 2 * (rounds - forced)
+
+    @pytest.mark.parametrize("seed", [200, None])
+    def test_verdicts_cut_nothing_and_reduce_still_cuts(self, seed, monkeypatch):
+        # is_difficult and the check verdict read only the witness, so the
+        # pieces are never cut; seed None is a pair whose witness is a move
+        if seed is None:
+            pair = ("1110000", "1010100")
+        else:
+            rng = random.Random(seed)
+            pair = (str(remy_sample(200, rng)), str(remy_sample(200, rng)))
+        cuts = []
+        cut = treepairs.rotations._cut
+        monkeypatch.setattr(treepairs.rotations, "_cut", lambda *args: cuts.append(args) or cut(*args))
+        assert not is_difficult(pair)
+        assert _verdict(pair).startswith("not difficult: common" if seed else "not difficult: one-off")
+        assert cuts == []
+        reduce_pair(pair)
+        assert cuts
 
     def test_difficult_pairs_are_fixed_points(self):
         pair = TreePair("101011000", "111010000")

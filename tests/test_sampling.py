@@ -2,6 +2,8 @@ import math
 import random
 from collections import defaultdict
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -22,9 +24,9 @@ from treepairs import (
     sample_difficult_pair,
     sample_with_choice_counts,
 )
-from treepairs.growth import _grown_rows
+from treepairs.growth import _filter_row, _grown_rows, _interval_masks
 from treepairs.sampling import _STARTS, MIN_SIZE, _difficult_grown_pairs
-from treepairs.words import _interval_masks, word_scan
+from treepairs.words import word_scan
 
 
 def _mask_to_set(mask, stride):
@@ -41,13 +43,22 @@ def _mask_to_set(mask, stride):
 @given(tree_words(max_size=25), st.integers(0, 3))
 def test_masks_agree_with_interval_sets(word, pad):
     stride = word.size + 2 + pad
-    has, makes, query, key = _interval_masks(word_scan(word), stride)
+    fields = _interval_masks(word_scan(word), stride)
+    has, makes, _, _, made_at = fields
     spans, created = interval_sets(word)
     assert (_mask_to_set(has, stride), _mask_to_set(makes, stride)) == (spans, created)
     # the cherry fields: bit x marks [x, x + 1]
     ch = sum(1 << low for low, high in spans if high == low + 1)
     cm = sum(1 << low for low, high in created if high == low + 1)
+    assert fields[2:4] == (ch, cm)
+    _, _, _, query, key = _filter_row(word, stride, *fields[:4])
     assert (query, key) == (ch | cm | ch << stride, ch | cm << stride)
+    # one (created bit, created cherry bit or 0) per rotatable node; they OR to makes and cm
+    assert sorted(made_at) == [i for i in range(1, len(word)) if word[i] == "1"]
+    made_bits, cherry_bits = zip(*made_at.values()) if made_at else ((), ())
+    assert all(bit.bit_count() == 1 for bit in made_bits)
+    assert all(bit.bit_count() <= 1 for bit in cherry_bits)
+    assert (reduce(or_, made_bits, 0), reduce(or_, cherry_bits, 0)) == (makes, cm)
 
 
 @given(tree_words(min_size=0, max_size=25), tree_words(min_size=0, max_size=25))
@@ -60,7 +71,7 @@ def test_grown_rows_equal_masks_built_from_scratch(word, other):
     derived = _grown_rows([word, other])
     for parent, rows in zip((word, other), derived):
         grown = sorted(growth_neighbors(parent))
-        assert rows == [(g, *_interval_masks(word_scan(g), stride)) for g in grown]
+        assert rows == [_filter_row(g, stride, *_interval_masks(word_scan(g), stride)[:4]) for g in grown]
 
 
 def test_sampler_support_misses_pairs_not_grown_from_smaller_ones():
