@@ -333,20 +333,18 @@ class TestSplitAndReduce:
         assert outcome.components == components
         assert rounds > 50 and len(scans) <= 2 * (rounds - forced)
 
-    @pytest.mark.parametrize("seed", [200, None])
-    def test_verdicts_cut_nothing_and_reduce_still_cuts(self, seed, monkeypatch):
-        # is_difficult and the check verdict read only the witness, so the
-        # pieces are never cut; seed None is a pair whose witness is a move
-        if seed is None:
+    @pytest.mark.parametrize("witness", ["common", "one-off"])
+    def test_verdicts_cut_nothing_and_reduce_still_cuts(self, witness, monkeypatch):
+        # is_difficult and the check verdict read only the witness, so no piece is cut
+        rng = random.Random(200)
+        pair = (str(remy_sample(200, rng)), str(remy_sample(200, rng)))
+        if witness == "one-off":
             pair = ("1110000", "1010100")
-        else:
-            rng = random.Random(seed)
-            pair = (str(remy_sample(200, rng)), str(remy_sample(200, rng)))
         cuts = []
         cut = treepairs.rotations._cut
         monkeypatch.setattr(treepairs.rotations, "_cut", lambda *args: cuts.append(args) or cut(*args))
         assert not is_difficult(pair)
-        assert _verdict(pair).startswith("not difficult: common" if seed else "not difficult: one-off")
+        assert _verdict(pair).startswith(f"not difficult: {witness}")
         assert cuts == []
         reduce_pair(pair)
         assert cuts
