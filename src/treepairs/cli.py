@@ -49,14 +49,15 @@ def _verdict(pair):
 def _file_pairs(path):
     """Every pair of a pair file, all parsed before any is checked."""
     pairs = []
-    with open(path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, 1):
-            line = line.strip()
+    with open(path, "rb") as handle:
+        lines = handle.read().splitlines()
+    for number, line in enumerate(lines, 1):
+        try:
+            line = line.decode("utf-8").strip()
             if line and not line.startswith("#"):
-                try:
-                    pairs.append(parse_pair(line))
-                except MalformedWordError as exc:
-                    raise MalformedWordError(f"{path}:{number}: {exc}") from None
+                pairs.append(parse_pair(line))
+        except (MalformedWordError, UnicodeDecodeError) as exc:
+            raise MalformedWordError(f"{path}:{number}: {exc}") from None
     return pairs
 
 

@@ -4,7 +4,10 @@ A grow step replaces any node v by a fresh internal node whose other child
 is a new leaf; v becomes the left or right child.  Iterating grow steps with
 uniform choices over the 2k + 1 nodes and the two sides is the classic way
 to draw a size-n tree uniformly at random among the Catalan(n) possibilities
-(``remy_sample``).
+(``remy_sample``).  Of a size-k tree's 3k + 1 grow sites only 2k grow
+distinct trees, so ``_grow_sites`` keys the sites by the word they grow and
+keeps the first of each; ``growth_neighbors`` and ``_grown_rows`` both read
+that map.
 
 The *anchor* of a tree is the internal node whose right child is the
 highest-labelled leaf, i.e. the lowest node on the right spine.  Growing
@@ -50,23 +53,14 @@ def _grown(word: str, index: int, end: int, right: bool) -> str:
     return word[:index] + "1" + word[index:end] + "0" + word[end:]
 
 
-def _grow_sites(word: str, ends) -> list:
-    """Every grow site of ``word`` as (index, subtree end, right), one per
-    distinct grown word.
-
-    Growing right at a node, or at a leaf (whose two sides give one word),
-    inserts "10" at its index, which repeats the insertion two places back
-    when "10" stands there.  Growing left at a left child whose sibling is a
-    leaf repeats growing left at the parent.  No other two sites meet.
-    """
-    sites = []
+def _grow_sites(word: str, ends) -> dict:
+    """Every distinct word grown from ``word``, mapped to its first grow site
+    (index, subtree end, right) in word order, growing left before right.  A
+    leaf grows only left: its two sides give one word."""
+    sites = {}
     for i, end in enumerate(ends):
-        internal = word[i] == "1"
-        repeats = i > 1 and word[i - 2 : i] == "10"
-        if not (repeats and not internal or word[i - 1 : i] == "1" and word[end] == "0"):
-            sites.append((i, end, False))
-        if internal and not repeats:
-            sites.append((i, end, True))
+        for right in (False, True) if word[i] == "1" else (False,):
+            sites.setdefault(_grown(word, i, end, right), (i, end, right))
     return sites
 
 
@@ -163,8 +157,7 @@ def _grown_rows(words) -> list:
         has, makes, ch, cm, made_at = _interval_masks(scan, stride)
         k = len(word) // 2
         rows = []
-        for i, end, right in _grow_sites(word, ends):
-            grown = _grown(word, i, end, right)
+        for grown, (i, end, right) in _grow_sites(word, ends).items():
             a, b = lower[i], upper[i]
             internal = word[i] == "1"
             if right:  # fresh leaf a: labels >= a shift; in row a only spans past b keep lower a
@@ -223,11 +216,10 @@ def growth_neighbors(word: str) -> set:
     n >= 1, and "100" from "0".
 
     Of the 3n + 1 grow sites (a leaf's two sides give one tree) n + 1
-    repeat another's tree, which is why the result is a set: sampling
-    layers treat each distinct neighbor once.
+    repeat another's tree; the neighbors are the keys of ``_grow_sites``,
+    so sampling layers treat each distinct neighbor once.
     """
-    sites = _grow_sites(word, word_scan(word).subtree_end)
-    return {TreeWord._trusted(_grown(word, *site)) for site in sites}
+    return {TreeWord._trusted(grown) for grown in _grow_sites(word, word_scan(word).subtree_end)}
 
 
 def remy_sample(n: int, rng) -> TreeWord:

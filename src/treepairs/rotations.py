@@ -22,7 +22,7 @@ interval keeps the others and makes none, so the step cuts at all of them
 in one pass; a move played on a pair with none leaves exactly one, its
 created interval, which the step cuts at once, since the rotated node sits
 at the move's target.  A pair is difficult when that step finds it neither
-identical nor cut; the packed masks of ``words`` decide difficulty only in
+identical nor cut; the packed masks of ``growth`` decide difficulty only in
 batches, for the sampler and the census.  The set-based oracle for both
 lives in the tests.  Every rotation is read off ``_rotation_rows`` and
 rebuilt by ``_rotated``.  ``exact_distance`` is an A* search that prunes
@@ -183,12 +183,12 @@ def exact_distance(pair, max_size: int = DISTANCE_GUARD) -> int:
 def _pair_views(pair) -> tuple:
     """The (S, T) views of ``pair``.  Scanning a word validates it, so raw
     strings and ``TreeWord`` values are scanned exactly once; trees of
-    different sizes raise ``MalformedWordError``, as does anything but
-    exactly two words."""
-    try:
-        s, t = pair
-    except (TypeError, ValueError):
-        raise MalformedWordError(f"a pair is exactly two words, not {pair!r}") from None
+    different sizes raise ``MalformedWordError``, as does anything but a
+    tuple or list of exactly two words, since a string or a set would give
+    its items in an order that names no S and T."""
+    if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+        raise MalformedWordError(f"a pair is a tuple or list of two words, not {pair!r}")
+    s, t = pair
     views = _view(s), _view(t)
     if len(s) != len(t):
         raise MalformedWordError(f"pair members differ in size: {s} {t}")

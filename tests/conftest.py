@@ -19,6 +19,31 @@ def _tree(word):
     return tree
 
 
+def _word(tree):
+    """The word of a tuple tree, written here apart from the package."""
+    return "0" if tree is None else "1" + _word(tree[0]) + _word(tree[1])
+
+
+def _grown_trees(tree):
+    """Every tuple tree with one subtree X of ``tree`` replaced by (X, None)
+    or by (None, X)."""
+    yield tree, None
+    yield None, tree
+    if tree is not None:
+        left, right = tree
+        for grown in _grown_trees(left):
+            yield grown, right
+        for grown in _grown_trees(right):
+            yield left, grown
+
+
+def growth_by_substitution(word):
+    """The set of words one grow step from ``word``, found by substituting
+    into a tuple tree: the oracle for ``growth_neighbors``, sharing no
+    ``treepairs`` code with it."""
+    return {_word(grown) for grown in _grown_trees(_tree(str(word)))}
+
+
 def scan_by_descent(word):
     """(parent, subtree_end, lower, upper) tables of a tree word from a
     forward recursive-descent parse, apart from the package's right-to-left

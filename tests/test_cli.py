@@ -51,9 +51,14 @@ class TestCheck:
         assert lines[0].endswith("not difficult: one-off (S,@1)->(1,2)")
         assert lines[1] == "101011000 111010000: difficult"
 
-    def test_bad_file_line_is_named_before_any_output(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "bad_line",
+        [b"1010 0101", b"\xff\xfe 100"],
+        ids=["malformed-word", "undecodable-bytes"],
+    )
+    def test_bad_file_line_is_named_before_any_output(self, capsys, tmp_path, bad_line):
         listing = tmp_path / "pairs.txt"
-        listing.write_text("11000 10100\n1010 0101\n101011000 111010000\n")
+        listing.write_bytes(b"11000 10100\n" + bad_line + b"\n101011000 111010000\n")
         code, out, err = run_cli(capsys, "check", "--file", str(listing))
         assert code == 1 and out == ""
         assert err.startswith(f"error: {listing}:2: ") and err.count("\n") == 1

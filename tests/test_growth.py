@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 import treepairs
-from conftest import tree_words
+from conftest import growth_by_substitution, tree_words
 from treepairs import (
     MalformedWordError,
     NotInternalError,
@@ -68,7 +68,7 @@ class TestGrow:
             grow("100", -1)
 
     def test_neighbors_of_single_leaf(self):
-        assert growth_neighbors("0") == {"100"}
+        assert growth_neighbors("0") == growth_by_substitution("0") == {"100"}
 
     def test_neighbors_of_smallest_tree(self):
         assert growth_neighbors("100") == {"11000", "10100"}
@@ -76,6 +76,7 @@ class TestGrow:
     @given(tree_words(max_size=30))
     def test_neighbor_bound(self, word):
         found = growth_neighbors(word)
+        assert found == growth_by_substitution(word)
         assert len(found) == 2 * word.size
         for neighbor in found:
             assert neighbor.size == word.size + 1

@@ -309,8 +309,11 @@ class TestSplitAndReduce:
             reduce_pair(("100", "10100"))
 
     def test_reduce_rejects_malformed_words(self):
+        junk = (
+            ("110", "101"), None, ("100",), ("100", "100", "100"), "00", {"1110000", "1010100"}
+        )
         for check in (reduce_pair, *PAIR_ENTRY_POINTS):
-            for pair in (("110", "101"), None, ("100",), ("100", "100", "100")):
+            for pair in junk:
                 with pytest.raises(MalformedWordError):
                     check(pair)
 

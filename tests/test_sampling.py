@@ -174,7 +174,7 @@ class TestPairChoices:
         n = len(pair.s) // 2
         assert found == sorted(found)
         assert len(found) == len(set(found))
-        assert len(found) <= (3 * n + 1) ** 2
+        assert len(found) <= (2 * n) ** 2
         for u, v in found:
             assert len(u) == len(pair.s) + 2
             assert difficult_by_recomputation(u, v)
