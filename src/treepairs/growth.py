@@ -6,8 +6,8 @@ uniform choices over the 2k + 1 nodes and the two sides is the classic way
 to draw a size-n tree uniformly at random among the Catalan(n) possibilities
 (``remy_sample``).  Of a size-k tree's 3k + 1 grow sites only 2k grow
 distinct trees, so ``_grow_sites`` keys the sites by the word they grow and
-keeps the first of each; ``growth_neighbors`` and ``_grown_rows`` both read
-that map.
+keeps the first of each; ``growth_neighbors``, ``_grown_rows`` and
+``_grow_classes`` all read that map.
 
 The *anchor* of a tree is the internal node whose right child is the
 highest-labelled leaf, i.e. the lowest node on the right spine.  Growing
@@ -17,10 +17,16 @@ carries nodes of a word into its anchor growth: everything before the anchor
 keeps its index, everything from the anchor on shifts right by one past the
 inserted '1'.
 
-The packed difficulty rows live here too, since only grow steps derive
-them: ``_interval_masks`` builds a word's fields in one walk, ``_filter_row``
-packs them into a row, ``_grown_rows`` derives the rows of grown words from
-their parent's fields, and ``_difficult_pairs`` filters pairs of rows.
+The sampler's step, which lists the difficult pairs of grown words of a
+pair, lives here too, in two forms.  The packed rows: ``_interval_masks``
+builds a word's fields in one walk, ``_filter_row`` packs them into a row,
+``_grown_rows`` derives the rows of grown words from their parent's fields,
+and ``_difficult_pairs`` filters pairs of rows.  The near-miss step,
+``_near_miss_pairs``, builds no row: ``_grow_classes`` places every
+interval of a parent in all of its grown words at once, as runs of grow
+sites, and ``_grow_images`` turns that into masks of grown words per
+interval.  The packed rows cost less for small parents and serve the
+census; the near-miss step wins from size 11 on.
 
 Randomness is always taken from a caller-owned ``random.Random`` instance
 (Mersenne Twister), so identical seeds reproduce identical trees on every
@@ -28,6 +34,10 @@ platform.  Share nothing else: one generator per thread.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from operator import or_
 
 from .errors import MalformedWordError, NotInternalError
 from .words import TreeWord, WordScan, word_scan
@@ -199,6 +209,193 @@ def _grown_rows(words) -> list:
                 new_cm |= (high == low + 1) << low
             rows.append(_filter_row(grown, stride, new_has, new_makes, new_ch, new_cm))
         found.append(sorted(rows))
+    return found
+
+
+def _grow_classes(word: str, stride: int) -> tuple:
+    """The growth neighbors of ``word`` in row order and where each grow
+    step takes the word's intervals, for ``_near_miss_pairs``.
+
+    Growing at a node with interval [a, b] takes every non-root interval
+    [l, h] and every created interval of the word to itself (*stay*), to
+    [l, h + 1] (*step*) or to [l + 1, h + 1] (*move*).  Growing right: stay
+    if h < a, step if l < a <= h or (l = a and h > b), else move.  Growing
+    left: move if l > b, step if l <= b < h or (h = b and l < a), else stay.
+    So over the right sites sorted by (a, -b) an interval's moves come
+    first, its steps next and its stays last, and so they do over the left
+    sites sorted by (b, -a): two cuts in each order place the interval in
+    every grown word.  The one exception is a node's created interval,
+    which is gone at the node's own sites.
+
+    Returns (grown, rights, lefts, added, placed), keys being lower * stride
+    + upper as in ``_interval_masks``:
+    - ``grown``: the distinct grown words in lexicographic order, row r
+      growing ``grown[r]``;
+    - ``rights``, ``lefts``: the rows of the right and left sites in those
+      orders;
+    - ``added``: (row, key, created) for each interval the step itself
+      adds, as ``_grown_rows`` sets them: the new node's interval (at the
+      root, the old root's span), its created interval and the grown
+      node's new created interval;
+    - ``placed``: (key, created, cuts, own) for each non-root and created
+      interval of the word, where cuts = (right moves end, right steps end,
+      left moves end, left steps end) and own = the positions of the
+      creating node's sites in the two orders, -1 for none.
+    """
+    parent, ends, lower, upper = scan = word_scan(word)
+    k = len(word) // 2
+    sites = _grow_sites(word, ends)
+    grown = sorted(sites)
+    rights, lefts, added = [], [], []
+    for row, grown_word in enumerate(grown):
+        i, _, right = sites[grown_word]
+        a, b = lower[i], upper[i]
+        internal = word[i] == "1"
+        if right:
+            rights.append((a * stride - b, row, i))
+        else:
+            lefts.append((b * stride - a, row, i))
+        if i:
+            p = parent[i]
+            added.append((row, a * stride + b + 1, False))
+            if i == p + 1:
+                added.append((row, (a + 1 if right else b + 1) * stride + upper[p] + 1, True))
+            else:
+                added.append((row, lower[p] * stride + (a if right else b), True))
+        elif internal:
+            added.append((row, stride + k + 1 if right else k, False))
+        if internal:
+            if right:
+                added.append((row, a * stride + upper[i + 1] + 1, True))
+            else:
+                added.append((row, lower[ends[i + 1]] * stride + b + 1, True))
+    rights.sort()
+    lefts.sort()
+    right_keys = [key for key, _, _ in rights]
+    left_keys = [key for key, _, _ in lefts]
+    right_at = {i: at for at, (_, _, i) in enumerate(rights)}
+    left_at = {i: at for at, (_, _, i) in enumerate(lefts)}
+    placed = []
+    for i, _, has, made in _rotation_rows(scan, stride):
+        for key, created in ((has, False), (made, True)):
+            low, high = divmod(key, stride)
+            cuts = (
+                bisect_right(right_keys, low * stride - high),
+                bisect_right(right_keys, high * stride),
+                bisect_right(left_keys, (low - 1) * stride),
+                bisect_left(left_keys, high * stride - low),
+            )
+            own = (right_at.get(i, -1), left_at.get(i, -1)) if created else (-1, -1)
+            placed.append((key, created, cuts, own))
+    return grown, [row for _, row, _ in rights], [row for _, row, _ in lefts], added, placed
+
+
+def _grow_images(word: str, stride: int) -> tuple:
+    """(grown, has, makes): the growth neighbors of ``word`` in row order,
+    as in ``_grow_classes``, and maps from interval key to the mask of the
+    rows whose word has that non-root interval (``has``) or creates it
+    (``makes``)."""
+    grown, rights, lefts, added, placed = _grow_classes(word, stride)
+    has, makes = {}, {}
+    for row, key, created in added:
+        table = makes if created else has
+        table[key] = table.get(key, 0) | 1 << row
+    right_firsts = list(accumulate((1 << row for row in rights), or_, initial=0))
+    left_firsts = list(accumulate((1 << row for row in lefts), or_, initial=0))
+    every = right_firsts[-1] | left_firsts[-1]
+    lift = stride + 1
+    for key, created, (rm, rs, lm, ls), (ro, lo) in placed:
+        moves = right_firsts[rm] | left_firsts[lm]
+        moves_and_steps = right_firsts[rs] | left_firsts[ls]
+        own = (1 << rights[ro] if ro >= 0 else 0) | (1 << lefts[lo] if lo >= 0 else 0)
+        keep = ~own
+        table = makes if created else has
+        for at, rows in (
+            (key, every ^ moves_and_steps),
+            (key + 1, moves_and_steps ^ moves),
+            (key + lift, moves),
+        ):
+            rows &= keep
+            if rows:
+                table[at] = table.get(at, 0) | rows
+    return grown, has, makes
+
+
+def _near_miss_pairs(s: str, t: str) -> list:
+    """``_difficult_pairs(*_grown_rows((s, t)))`` for two words of one size
+    k >= 1, found without building a k^2-bit row.
+
+    A grown U of s and a grown V of t conflict when some interval is in
+    both, or one has an interval the other creates; U = V shares every
+    interval, so no word compare is needed.
+    Every such interval is an image of an interval or created interval of
+    the parent, placed by ``_grow_classes``, or one the step adds, so each
+    image of s looks up the V rows it conflicts with in t's maps
+    (``_grow_images``).  When (s, t) is difficult, an interval I of s and J
+    of t meet only as near misses: J - I is (0, 1), (0, -1), (1, 1),
+    (-1, -1), (1, 0) or (-1, 0), I and J in different classes, so few
+    lookups hit.
+
+    The U rows of one class of an interval of s are a run in each site
+    order.  A run at the start or the end of an order is marked once at its
+    cut, and a sweep over each order at the end spreads the marks; only
+    runs inside an order, and the pieces a node's own sites leave, are
+    walked row by row.  Each U row's conflict mask then leaves its free V
+    rows.
+    """
+    stride = len(s) // 2 + 2  # exceeds every label of a grown word
+    lift = stride + 1
+    us, rights, lefts, added, placed = _grow_classes(s, stride)
+    vs, has, makes = _grow_images(t, stride)
+    blocked = [0] * len(us)
+    for row, key, created in added:
+        blocked[row] |= has.get(key, 0) if created else has.get(key, 0) | makes.get(key, 0)
+    right_heads, right_tails = [0] * (len(rights) + 1), [0] * (len(rights) + 1)
+    left_heads, left_tails = [0] * (len(lefts) + 1), [0] * (len(lefts) + 1)
+
+    def cover(order, heads, tails, start, stop, own, cols):
+        # heads[j] covers the first j sites of the order, tails[j] site j on
+        if start <= own < stop:
+            cover(order, heads, tails, start, own, -1, cols)
+            start = own + 1
+        if start >= stop:
+            return
+        if not start:
+            heads[stop] |= cols
+        elif stop == len(order):
+            tails[start] |= cols
+        else:
+            for at in range(start, stop):
+                blocked[order[at]] |= cols
+
+    for key, created, (rm, rs, lm, ls), (ro, lo) in placed:
+        for at, right_run, left_run in (
+            (key, (rs, len(rights)), (ls, len(lefts))),
+            (key + 1, (rm, rs), (lm, ls)),
+            (key + lift, (0, rm), (0, lm)),
+        ):
+            cols = has.get(at, 0) if created else has.get(at, 0) | makes.get(at, 0)
+            if cols:
+                cover(rights, right_heads, right_tails, *right_run, ro, cols)
+                cover(lefts, left_heads, left_tails, *left_run, lo, cols)
+    for order, heads, tails in ((rights, right_heads, right_tails), (lefts, left_heads, left_tails)):
+        run = 0
+        for at in range(len(order) - 1, -1, -1):
+            run |= heads[at + 1]
+            blocked[order[at]] |= run
+        run = 0
+        for at, row in enumerate(order):
+            run |= tails[at]
+            blocked[row] |= run
+
+    every = (1 << len(vs)) - 1
+    found = []
+    for u, conflicts in zip(us, blocked):
+        free = every & ~conflicts
+        while free:
+            low = free & -free
+            found.append((u, vs[low.bit_length() - 1]))
+            free ^= low
     return found
 
 

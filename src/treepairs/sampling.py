@@ -7,13 +7,17 @@ uniformly at random.  The candidate list is never empty because growing
 both trees left at their anchors always yields another difficult pair, so
 the loop cannot strand.
 
-The inner difficulty filter has to look at (2k)^2 candidate pairs per step
-(a size-k tree has 2k growth neighbors), so it runs on the packed rows of
-``growth`` (see ``growth._filter_row``): two bit masks make the three
-disjointness conditions two integer ANDs, and before them one AND of two
-narrow cherry fields rejects about 90% of the candidates at n = 100.  A
-step scans the two parent words once and derives every grown neighbor's row
-from its parent's fields (``growth._grown_rows``).  A single pair
+A step has (2k)^2 candidate pairs (a size-k tree has 2k growth
+neighbors), of which a few percent are difficult.  Parents below size
+``_NEAR_MISS_SIZE`` filter all of them on the packed rows of ``growth``
+(see ``growth._filter_row``): one AND of two narrow cherry fields rejects
+about 90% of the candidates at n = 100, and two ANDs of wide bit masks
+decide the rest.  Each grown neighbor's row is derived from its parent's
+fields (``growth._grown_rows``).  Larger parents take
+``growth._near_miss_pairs``, which visits no candidate pair: it reads each
+grown word's conflicts off the near misses between the two parents'
+intervals and lists only the free pairs.  Both give the same list, and
+tests hold them against each other at every size.  A single pair
 (``is_difficult``) goes through the reduction step instead.  The
 independent oracle, which parses raw words into tuple trees and rotates
 them, lives in the tests.
@@ -32,7 +36,7 @@ import random
 
 from .census import primitive_pairs
 from .errors import NotDifficultError
-from .growth import _difficult_pairs, _grown_rows
+from .growth import _difficult_pairs, _grown_rows, _near_miss_pairs
 from .rotations import TreePair, is_difficult
 from .words import TreeWord, _require_count
 
@@ -57,10 +61,18 @@ _STARTS = tuple(
 )
 
 
+# Parents of this size and up take ``growth._near_miss_pairs``; below it the
+# packed rows cost less per step, and from here on the near-miss step wins.
+_NEAR_MISS_SIZE = 11
+
+
 def _difficult_grown_pairs(s, t):
     """All difficult (U, V) over growth neighbors of s and t, in lexicographic
     order; never empty for a difficult (s, t)."""
-    found = _difficult_pairs(*_grown_rows((s, t)))
+    if len(s) // 2 >= _NEAR_MISS_SIZE:
+        found = _near_miss_pairs(s, t)
+    else:
+        found = _difficult_pairs(*_grown_rows((s, t)))
     if not found:
         raise RuntimeError("difficult pair has no difficult grown pair; growth closure is broken")
     return found

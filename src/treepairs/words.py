@@ -129,9 +129,14 @@ def word_scan(word: str) -> WordScan:
     return WordScan(tuple(parents), tuple(ends), tuple(lowers), tuple(uppers))
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool: True is neither a count nor a node."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require_node(word: str, index: int) -> WordScan:
     """The scan of ``word``, which validates it, once ``index`` names a node."""
-    if not (isinstance(word, str) and isinstance(index, int) and 0 <= index < len(word)):
+    if not (isinstance(word, str) and _is_int(index) and 0 <= index < len(word)):
         raise MalformedWordError(f"no node @{index!r} in {word!r}")
     return word_scan(word)
 
@@ -141,7 +146,7 @@ def _require_internal(word: str, index: int) -> WordScan:
     internal node."""
     if not isinstance(word, str):
         raise MalformedWordError(f"no node @{index!r} in {word!r}")
-    if not (isinstance(index, int) and 0 <= index < len(word) and word[index] == "1"):
+    if not (_is_int(index) and 0 <= index < len(word) and word[index] == "1"):
         raise NotInternalError(f"no internal node @{index!r} in {word!r}")
     return word_scan(word)
 
@@ -149,7 +154,7 @@ def _require_internal(word: str, index: int) -> WordScan:
 def _require_count(value: int, name: str, least: int = 0) -> int:
     """``value`` once it is an int of at least ``least``: the check on every
     size, count and size guard argument."""
-    if not isinstance(value, int):
+    if not _is_int(value):
         raise SizeTooSmallError(f"{name} must be an int, not {value!r}")
     if value < least:
         raise SizeTooSmallError(f"{name} must be >= {least}, not {value}")

@@ -102,6 +102,7 @@ BAD_CALLS = [
     (rotate, ("11000", 1.0), NotInternalError),
     (grow, ("100", "0"), MalformedWordError),
     (grow, ("100", 0, None), MalformedWordError),
+    (grow, ("100", True), MalformedWordError),
     (interval_of, ("100", "0"), MalformedWordError),
     (subtree_end, ("100", "0"), MalformedWordError),
     (exact_distance, (("11000", "10100"), "x"), SizeTooSmallError),
@@ -117,6 +118,7 @@ BAD_CALLS = [
     (reduction_profile, (5, -3, RNG), SizeTooSmallError),
     (coverage_report, (5, -3, RNG), SizeTooSmallError),
     (coverage_report, (5, "3", RNG), SizeTooSmallError),
+    (coverage_report, (5, True, RNG), SizeTooSmallError),
 ]
 
 

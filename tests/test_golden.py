@@ -62,14 +62,23 @@ def _reductions():
     return lines
 
 
-def _choices():
-    pairs = list(primitive_pairs())
-    pairs += [sample_difficult_pair(n, random.Random(n)) for n in range(5, 11)]
+def _choices_of(pairs):
     lines = []
     for pair in pairs:
         lines.append(f"# {pair[0]} {pair[1]}")
         lines.extend(f"{u} {v}" for u, v in pair_choices(pair))
     return lines
+
+
+def _choices():
+    pairs = list(primitive_pairs())
+    pairs += [sample_difficult_pair(n, random.Random(n)) for n in range(5, 11)]
+    return _choices_of(pairs)
+
+
+def _large_choices():
+    # parents past the size where the sampler switches to the near-miss step
+    return _choices_of(sample_difficult_pair(n, random.Random(n)) for n in (40, 64))
 
 
 def _neighbors():
@@ -126,6 +135,7 @@ LIBRARY_DIGESTS = {
     "remy_sample": (_remy_stream, "26d8c861bdbc162ed4618a6f450cb6d781b4035fd473fca21644f763f8bfd544"),
     "reduce_pair": (_reductions, "48b153153814d4313cce6b348ef7591fb1debc059373983a0b2023c53d1d734f"),
     "pair_choices": (_choices, "8b73497cd40abe707a19386fb979a79abf69af5b77a8f3a1a67d0ad3ce627be5"),
+    "pair_choices_large": (_large_choices, "0a32830fda32b79f2308ff05bcbbe7d0e2f843781027942602efa2e77b5bc52e"),
     "neighbors": (_neighbors, "6d39e13203857e43d46f5a388e5249fd2c4dbc3622afa8020190c3bc03ac41b0"),
     "is_difficult": (_verdicts, "8444846a1eda8fa8b20eaa6811a2b82c3450f1be95b1bba8daeede7e84b9ebaa"),
     "pair_rules": (_pair_rules, "d75372367988d98d8b6d3d3642483921e72246098621b7cb25d75b1cb2c0eff6"),

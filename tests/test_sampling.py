@@ -8,7 +8,7 @@ from operator import or_
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import difficult_by_recomputation, interval_sets, tree_words
+from conftest import difficult_by_recomputation, interval_sets, tree_pairs, tree_words
 from treepairs import (
     NotDifficultError,
     SizeTooSmallError,
@@ -24,7 +24,7 @@ from treepairs import (
     sample_difficult_pair,
     sample_with_choice_counts,
 )
-from treepairs.growth import _filter_row, _grown_rows, _interval_masks
+from treepairs.growth import _difficult_pairs, _filter_row, _grown_rows, _interval_masks, _near_miss_pairs
 from treepairs.sampling import _STARTS, MIN_SIZE, _difficult_grown_pairs
 from treepairs.words import word_scan
 
@@ -72,6 +72,37 @@ def test_grown_rows_equal_masks_built_from_scratch(word, other):
     for parent, rows in zip((word, other), derived):
         grown = sorted(growth_neighbors(parent))
         assert rows == [_filter_row(g, stride, *_interval_masks(word_scan(g), stride)[:4]) for g in grown]
+
+
+def _packed_choices(s, t):
+    return _difficult_pairs(*_grown_rows((s, t)))
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_near_miss_step_equals_packed_rows_on_every_difficult_pair(n):
+    for s, t in enumerate_difficult_pairs(n):
+        assert _near_miss_pairs(s, t) == _packed_choices(s, t)
+
+
+@pytest.mark.parametrize("seed", [3000, 17])
+def test_near_miss_step_equals_packed_rows_along_seeded_chains(seed):
+    # every step of the sampler's own walk to n = 100, small parents included
+    rng = random.Random(seed)
+    s, t = _STARTS[rng.randrange(len(_STARTS))]
+    for _ in range(100 - MIN_SIZE):
+        found = _near_miss_pairs(s, t)
+        assert found == _packed_choices(s, t)
+        s, t = found[rng.randrange(len(found))]
+    assert (s, t) == sample_difficult_pair(100, random.Random(seed))
+
+
+@given(tree_pairs(min_size=1, max_size=25))
+@example((TreeWord("100"), TreeWord("100")))  # k = 1: U = V, and the old root spans are cherries
+@example((TreeWord("10100"), TreeWord("11000")))  # leaf growth next to a cherry, on either side
+@example((TreeWord("1011000"), TreeWord("1100100")))
+def test_near_miss_step_equals_packed_rows_on_any_pair(pair):
+    # exact for every pair of one size, difficult or not
+    assert _near_miss_pairs(*pair) == _packed_choices(*pair)
 
 
 def test_sampler_support_misses_pairs_not_grown_from_smaller_ones():
