@@ -12,7 +12,7 @@ import math
 
 from .errors import SizeGuardExceededError
 from .rotations import TreePair
-from .growth import _difficult_pairs, _filter_row, _interval_masks
+from .growth import _difficult_pairs, _interval_masks
 from .words import TreeWord, _require_count, word_scan
 
 __all__ = [
@@ -79,7 +79,7 @@ def enumerate_difficult_pairs(n: int, max_size: int = PAIR_GUARD) -> list:
     if n > _require_count(max_size, "max_size"):
         raise SizeGuardExceededError(f"size {n} exceeds the census guard {max_size}")
     rows = [
-        _filter_row(w, n + 1, *_interval_masks(word_scan(w), n + 1)[:4])
+        (w, *_interval_masks(word_scan(w), n + 1)[:2])
         for w in enumerate_trees(n, max_size=max(n, TREE_GUARD))
     ]
     return [TreePair(s, t) for s, t in _difficult_pairs(rows, rows)]

@@ -18,15 +18,15 @@ keeps its index, everything from the anchor on shifts right by one past the
 inserted '1'.
 
 The sampler's step, which lists the difficult pairs of grown words of a
-pair, lives here too, in two forms.  The packed rows: ``_interval_masks``
-builds a word's fields in one walk, ``_filter_row`` packs them into a row,
-``_grown_rows`` derives the rows of grown words from their parent's fields,
-and ``_difficult_pairs`` filters pairs of rows.  The near-miss step,
+pair, lives here too, in two forms.  The packed rows (word, has, makes):
+``_interval_masks`` builds a word's masks in one walk, ``_grown_rows``
+derives the rows of grown words from their parent's masks, and
+``_difficult_pairs`` filters pairs of rows.  The near-miss step,
 ``_near_miss_pairs``, builds no row: ``_grow_classes`` places every
 interval of a parent in all of its grown words at once, as runs of grow
 sites, and ``_grow_images`` turns that into masks of grown words per
 interval.  The packed rows cost less for small parents and serve the
-census; the near-miss step wins from size 11 on.
+census; the near-miss step wins from size 28 on.
 
 Randomness is always taken from a caller-owned ``random.Random`` instance
 (Mersenne Twister), so identical seeds reproduce identical trees on every
@@ -75,63 +75,39 @@ def _grow_sites(word: str, ends) -> dict:
 
 
 def _interval_masks(scan: WordScan, stride: int) -> tuple:
-    """The fields (has, makes, ch, cm, made_at) of a scanned word, in one
-    walk over ``_rotation_rows``.
+    """The fields (has, makes, made_at) of a scanned word, in one walk over
+    ``_rotation_rows``.
 
     ``has`` and ``makes`` are bit masks of the non-root intervals and the
     created intervals keyed lower * stride + upper, where ``stride`` exceeds
-    every leaf label; rows are compared only at equal stride.  ``ch`` and
-    ``cm`` hold bit x when the cherry [x, x + 1] is a non-root or a created
-    interval.  ``made_at`` maps each rotatable node to its created bit and
-    its created cherry bit, or 0 if it creates no cherry.
+    every leaf label; rows are compared only at equal stride.  ``made_at``
+    maps each rotatable node to its created bit.
     """
-    nbytes = (stride * stride + 7) >> 3
-    has, makes = bytearray(nbytes), bytearray(nbytes)
-    lift = stride + 1  # [x, x + 1] is keyed x * lift + 1, and no other key is 1 mod lift
-    ch = cm = 0
+    has = makes = 0
     made_at = {}
     for i, _, key, made in _rotation_rows(scan, stride):
-        has[key >> 3] |= 1 << (key & 7)
-        makes[made >> 3] |= 1 << (made & 7)
-        if key % lift == 1:
-            ch |= 1 << key // lift
-        cherry = 1 << made // lift if made % lift == 1 else 0
-        cm |= cherry
-        made_at[i] = 1 << made, cherry
-    return int.from_bytes(has, "little"), int.from_bytes(makes, "little"), ch, cm, made_at
-
-
-def _filter_row(word: str, stride: int, has: int, makes: int, ch: int, cm: int) -> tuple:
-    """The row (word, has, makes, query, key) that ``_difficult_pairs`` reads,
-    with cherry fields query = ch | cm | ch << stride and key = ch | cm <<
-    stride: ``u_query & v_key`` is nonzero when U and V share a cherry or
-    one has a cherry the other creates; two created cherries alone do not
-    conflict."""
-    return word, has, makes, ch | cm | ch << stride, ch | cm << stride
+        has |= 1 << key
+        made_at[i] = bit = 1 << made
+        makes |= bit
+    return has, makes, made_at
 
 
 def _difficult_pairs(left, right):
-    """Every difficult (u, v) over two lists of ``_filter_row`` rows, in row
-    order: no common interval, no interval of one side creatable in the
-    other, and u != v.
-
-    The cherry fields hold a subset of the masks' bits, and nearly every
-    rejected pair already conflicts on a cherry (over 99.8% of the rejects
-    in an n = 100 sample), so one AND of the ~2k-bit cherry fields goes
-    first.  Only the pairs that pass it pay the two ANDs of the ~k^2-bit
-    masks and the word compare."""
+    """Every difficult (u, v) over two lists of (word, has, makes) rows, in
+    row order: no common interval, no interval of one side creatable in the
+    other, and u != v."""
     found = []
-    for u_word, u_has, u_makes, u_query, _ in left:
+    for u_word, u_has, u_makes in left:
         u_blocked = u_has | u_makes
-        for v_word, v_has, v_makes, _, v_key in right:
-            if u_query & v_key or u_blocked & v_has or v_makes & u_has or u_word == v_word:
+        for v_word, v_has, v_makes in right:
+            if u_blocked & v_has or v_makes & u_has or u_word == v_word:
                 continue
             found.append((u_word, v_word))
     return found
 
 
 def _grown_rows(words) -> list:
-    """For each of ``words``, the ``_filter_row`` rows of its growth
+    """For each of ``words``, the (word, has, makes) rows of its growth
     neighbors in lexicographic order, equal to those built from
     ``_interval_masks(word_scan(grown), stride)`` for a stride of the
     largest size + 2, which exceeds every label of a grown word.
@@ -145,13 +121,6 @@ def _grown_rows(words) -> list:
     only the new node's interval and the created intervals of v and the new
     node change.  A created interval crosses exactly one tree interval, so no
     two nodes share a created bit and clearing v's old one is safe.
-
-    The cherry ints ``ch`` and ``cm`` sit on the table's diagonal, which no
-    big-int op slices out, so a few small-int ops relabel them: bits in
-    ``keep`` stay, bits from ``cut`` up move one place, and the rest widen
-    off the diagonal.  Growing right, x <= a - 2 stays and x >= a moves;
-    growing left, x <= b - 1 stays, except a - 1 at a leaf v, and x > b
-    moves.  The fixed bits are those of the masks that are cherries.
     """
     stride = max(len(w) for w in words) // 2 + 2
     lift = stride + 1
@@ -164,7 +133,7 @@ def _grown_rows(words) -> list:
     found = []
     for word in words:
         parent, ends, lower, upper = scan = word_scan(word)
-        has, makes, ch, cm, made_at = _interval_masks(scan, stride)
+        has, makes, made_at = _interval_masks(scan, stride)
         k = len(word) // 2
         rows = []
         for grown, (i, end, right) in _grow_sites(word, ends).items():
@@ -173,41 +142,30 @@ def _grown_rows(words) -> list:
             if right:  # fresh leaf a: labels >= a shift; in row a only spans past b keep lower a
                 step = beyond[a] | full >> b + 1 << a * stride + b + 1
                 stay = inside[a]
-                cut, keep = a, (1 << a) - 1 >> 1
             else:  # fresh leaf b + 1: labels > b shift, and so do v's ancestors ending at b
                 column = repeat[a] << b
                 step = beyond[b + 1] | column
                 stay = inside[b + 1] ^ column
-                cut, keep = b + 1, (1 << b) - 1 if internal else (1 << a) - 1 >> 1
-            made_bit, cherry_bit = made_at.get(i, (0, 0))
-            made, cherries = makes ^ made_bit, cm ^ cherry_bit
+            made = makes ^ made_at.get(i, 0)
             kept, moved = has & stay, has & step
             new_has = kept | moved << 1 | (has ^ kept ^ moved) << lift
             kept, moved = made & stay, made & step
             new_makes = kept | moved << 1 | (made ^ kept ^ moved) << lift
-            new_ch = ch & keep | ch >> cut << cut + 1
-            new_cm = cherries & keep | cherries >> cut << cut + 1
             if i:  # the new node [a, b + 1] takes v's place below v's parent p
                 p = parent[i]
                 new_has |= 1 << a * stride + b + 1
-                new_ch |= (not internal) << a
                 if i == p + 1:
-                    low, high = (a + 1 if right else b + 1), upper[p] + 1
+                    new_makes |= 1 << (a + 1 if right else b + 1) * stride + upper[p] + 1
                 else:
-                    low, high = lower[p], (a if right else b)
-                new_makes |= 1 << low * stride + high
-                new_cm |= (high == low + 1) << low
+                    new_makes |= 1 << lower[p] * stride + (a if right else b)
             elif internal:  # the old root is now a child, and its span counts
                 new_has |= 1 << (stride + k + 1 if right else k)
-                new_ch |= (k == 1) << (1 if right else 0)
             if internal:
                 if right:
-                    low, high = a, upper[i + 1] + 1
+                    new_makes |= 1 << a * stride + upper[i + 1] + 1
                 else:
-                    low, high = lower[ends[i + 1]], b + 1
-                new_makes |= 1 << low * stride + high
-                new_cm |= (high == low + 1) << low
-            rows.append(_filter_row(grown, stride, new_has, new_makes, new_ch, new_cm))
+                    new_makes |= 1 << lower[ends[i + 1]] * stride + b + 1
+            rows.append((grown, new_has, new_makes))
         found.append(sorted(rows))
     return found
 

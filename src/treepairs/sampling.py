@@ -9,13 +9,12 @@ the loop cannot strand.
 
 A step has (2k)^2 candidate pairs (a size-k tree has 2k growth
 neighbors), of which a few percent are difficult.  Parents below size
-``_NEAR_MISS_SIZE`` filter all of them on the packed rows of ``growth``
-(see ``growth._filter_row``): one AND of two narrow cherry fields rejects
-about 90% of the candidates at n = 100, and two ANDs of wide bit masks
-decide the rest.  Each grown neighbor's row is derived from its parent's
-fields (``growth._grown_rows``).  Larger parents take
-``growth._near_miss_pairs``, which visits no candidate pair: it reads each
-grown word's conflicts off the near misses between the two parents'
+``_NEAR_MISS_SIZE`` filter all of them on the packed rows of ``growth``:
+two ANDs of the grown words' interval masks and a word compare decide each
+pair (``growth._difficult_pairs``), and each grown neighbor's row is
+derived from its parent's masks (``growth._grown_rows``).  Larger parents
+take ``growth._near_miss_pairs``, which visits no candidate pair: it reads
+each grown word's conflicts off the near misses between the two parents'
 intervals and lists only the free pairs.  Both give the same list, and
 tests hold them against each other at every size.  A single pair
 (``is_difficult``) goes through the reduction step instead.  The
@@ -62,8 +61,9 @@ _STARTS = tuple(
 
 
 # Parents of this size and up take ``growth._near_miss_pairs``; below it the
-# packed rows cost less per step, and from here on the near-miss step wins.
-_NEAR_MISS_SIZE = 11
+# packed rows cost less per step, and from here on the near-miss step wins
+# (timed per step along seeded n = 100 walks: parity at k = 26-27).
+_NEAR_MISS_SIZE = 28
 
 
 def _difficult_grown_pairs(s, t):

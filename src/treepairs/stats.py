@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
-from .census import PAIR_GUARD, enumerate_difficult_pairs
+from .census import PAIR_GUARD, enumerate_difficult_pairs, enumerate_trees
 from .growth import remy_sample
 from .rotations import TreePair, reduce_pair
 from .sampling import MIN_SIZE, sample_difficult_pair
@@ -20,6 +20,11 @@ __all__ = ["CoverageReport", "ReductionProfile", "coverage_report", "reduction_p
 @lru_cache(maxsize=PAIR_GUARD + 1)
 def _universe(n):
     return len(enumerate_difficult_pairs(n))  # fixed per size: count it once per process
+
+
+@lru_cache(maxsize=PAIR_GUARD + 1)
+def _words(n):
+    return {w: w for w in map(str, enumerate_trees(n))}  # one str per word, shared by every report
 
 
 def _nearest_rank(sorted_values, q):
@@ -89,12 +94,13 @@ def coverage_report(n: int, samples: int, rng) -> CoverageReport:
 
     The tally keys are pairs of plain ``str`` words with one object per
     distinct word: a ``TreeWord`` takes about twice the memory of a ``str``,
-    and callers may keep many reports.
+    and callers may keep many reports.  Up to ``PAIR_GUARD`` the reports of
+    one size share those objects too.
     """
     _require_count(n, "size", MIN_SIZE)
     _require_count(samples, "samples")
     frequencies = Counter()
-    words = {}
+    words = dict(_words(n)) if n <= PAIR_GUARD else {}
     for _ in range(samples):
         s, t = (words.setdefault(w, str(w)) for w in sample_difficult_pair(n, rng))
         frequencies[TreePair(s, t)] += 1

@@ -24,7 +24,7 @@ from treepairs import (
     sample_difficult_pair,
     sample_with_choice_counts,
 )
-from treepairs.growth import _difficult_pairs, _filter_row, _grown_rows, _interval_masks, _near_miss_pairs
+from treepairs.growth import _difficult_pairs, _grown_rows, _interval_masks, _near_miss_pairs
 from treepairs.sampling import _STARTS, MIN_SIZE, _difficult_grown_pairs
 from treepairs.words import word_scan
 
@@ -43,27 +43,18 @@ def _mask_to_set(mask, stride):
 @given(tree_words(max_size=25), st.integers(0, 3))
 def test_masks_agree_with_interval_sets(word, pad):
     stride = word.size + 2 + pad
-    fields = _interval_masks(word_scan(word), stride)
-    has, makes, _, _, made_at = fields
+    has, makes, made_at = _interval_masks(word_scan(word), stride)
     spans, created = interval_sets(word)
     assert (_mask_to_set(has, stride), _mask_to_set(makes, stride)) == (spans, created)
-    # the cherry fields: bit x marks [x, x + 1]
-    ch = sum(1 << low for low, high in spans if high == low + 1)
-    cm = sum(1 << low for low, high in created if high == low + 1)
-    assert fields[2:4] == (ch, cm)
-    _, _, _, query, key = _filter_row(word, stride, *fields[:4])
-    assert (query, key) == (ch | cm | ch << stride, ch | cm << stride)
-    # one (created bit, created cherry bit or 0) per rotatable node; they OR to makes and cm
+    # one created bit per rotatable node; they OR to makes
     assert sorted(made_at) == [i for i in range(1, len(word)) if word[i] == "1"]
-    made_bits, cherry_bits = zip(*made_at.values()) if made_at else ((), ())
-    assert all(bit.bit_count() == 1 for bit in made_bits)
-    assert all(bit.bit_count() <= 1 for bit in cherry_bits)
-    assert (reduce(or_, made_bits, 0), reduce(or_, cherry_bits, 0)) == (makes, cm)
+    assert all(bit.bit_count() == 1 for bit in made_at.values())
+    assert reduce(or_, made_at.values(), 0) == makes
 
 
 @given(tree_words(min_size=0, max_size=25), tree_words(min_size=0, max_size=25))
-@example(TreeWord("0"), TreeWord("100"))  # k = 1: the old root span [0, 1] or [1, 2] is a cherry
-@example(TreeWord("10100"), TreeWord("11000"))  # leaf growth next to a cherry, on either side
+@example(TreeWord("0"), TreeWord("100"))  # k = 1: the old root span [0, 1] or [1, 2] becomes a child's
+@example(TreeWord("10100"), TreeWord("11000"))  # leaf growth next to a two-leaf interval, on either side
 @example(TreeWord("1011000"), TreeWord("1100100"))
 def test_grown_rows_equal_masks_built_from_scratch(word, other):
     # the grown words have labels up to the larger size + 1
@@ -71,7 +62,7 @@ def test_grown_rows_equal_masks_built_from_scratch(word, other):
     derived = _grown_rows([word, other])
     for parent, rows in zip((word, other), derived):
         grown = sorted(growth_neighbors(parent))
-        assert rows == [_filter_row(g, stride, *_interval_masks(word_scan(g), stride)[:4]) for g in grown]
+        assert rows == [(g, *_interval_masks(word_scan(g), stride)[:2]) for g in grown]
 
 
 def _packed_choices(s, t):

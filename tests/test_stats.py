@@ -40,6 +40,14 @@ class TestCoverage:
         assert all(type(word) is str for word in words)
         assert len({id(word) for word in words}) == len(set(words)) < len(words)
 
+    def test_reports_of_one_size_share_word_objects(self):
+        first = coverage_report(5, 50, random.Random(1))
+        second = coverage_report(5, 50, random.Random(2))
+        seen = {word: word for pair in first.frequencies for word in pair}
+        common = [word for pair in second.frequencies for word in pair if word in seen]
+        assert common
+        assert all(word is seen[word] for word in common)
+
     def test_universe_unknown_beyond_guard(self):
         report = coverage_report(9, 5, random.Random(0))
         assert report.universe is None
