@@ -12,8 +12,8 @@ import math
 
 from .errors import SizeGuardExceededError
 from .rotations import TreePair
-from .growth import _difficult_pairs, _interval_masks
-from .words import TreeWord, _require_count, word_scan
+from .growth import _difficult_pairs, _packed_row
+from .words import TreeWord, _require_count
 
 __all__ = [
     "catalan",
@@ -78,10 +78,7 @@ def enumerate_difficult_pairs(n: int, max_size: int = PAIR_GUARD) -> list:
     _require_count(n, "size")
     if n > _require_count(max_size, "max_size"):
         raise SizeGuardExceededError(f"size {n} exceeds the census guard {max_size}")
-    rows = [
-        (w, *_interval_masks(word_scan(w), n + 1)[:2])
-        for w in enumerate_trees(n, max_size=max(n, TREE_GUARD))
-    ]
+    rows = [_packed_row(w) for w in enumerate_trees(n, max_size=max(n, TREE_GUARD))]
     return [TreePair(s, t) for s, t in _difficult_pairs(rows, rows)]
 
 

@@ -6,7 +6,7 @@ uniform choices over the 2k + 1 nodes and the two sides is the classic way
 to draw a size-n tree uniformly at random among the Catalan(n) possibilities
 (``remy_sample``).  Of a size-k tree's 3k + 1 grow sites only 2k grow
 distinct trees, so ``_grow_sites`` keys the sites by the word they grow and
-keeps the first of each; ``growth_neighbors``, ``_grown_rows`` and
+keeps the first of each; ``growth_neighbors``, the sampler and
 ``_grow_classes`` all read that map.
 
 The *anchor* of a tree is the internal node whose right child is the
@@ -17,16 +17,17 @@ carries nodes of a word into its anchor growth: everything before the anchor
 keeps its index, everything from the anchor on shifts right by one past the
 inserted '1'.
 
-The sampler's step, which lists the difficult pairs of grown words of a
-pair, lives here too, in two forms.  The packed rows (word, has, makes):
-``_interval_masks`` builds a word's masks in one walk, ``_grown_rows``
-derives the rows of grown words from their parent's masks, and
-``_difficult_pairs`` filters pairs of rows.  The near-miss step,
+The two halves of the sampler's step, which lists the difficult pairs of
+grown words of a pair, live here too.  The packed rows (word, has, makes):
+``_interval_masks`` builds a word's masks in one walk, ``_packed_row``
+makes a word's row from them, and ``_difficult_pairs`` filters pairs of
+rows; the census and the sampler's small steps, which memoize the rows of
+the few small grown words, build rows this way.  The near-miss step,
 ``_near_miss_pairs``, builds no row: ``_grow_classes`` places every
 interval of a parent in all of its grown words at once, as runs of grow
 sites, and ``_grow_images`` turns that into masks of grown words per
-interval.  The packed rows cost less for small parents and serve the
-census; the near-miss step wins from size 28 on.
+interval.  ``_grow_classes`` is the one place that says where a grow step
+moves an interval.
 
 Randomness is always taken from a caller-owned ``random.Random`` instance
 (Mersenne Twister), so identical seeds reproduce identical trees on every
@@ -75,21 +76,22 @@ def _grow_sites(word: str, ends) -> dict:
 
 
 def _interval_masks(scan: WordScan, stride: int) -> tuple:
-    """The fields (has, makes, made_at) of a scanned word, in one walk over
-    ``_rotation_rows``.
-
-    ``has`` and ``makes`` are bit masks of the non-root intervals and the
-    created intervals keyed lower * stride + upper, where ``stride`` exceeds
-    every leaf label; rows are compared only at equal stride.  ``made_at``
-    maps each rotatable node to its created bit.
+    """The masks (has, makes) of a scanned word, in one walk over
+    ``_rotation_rows``: bit masks of the non-root intervals and the created
+    intervals keyed lower * stride + upper, where ``stride`` exceeds every
+    leaf label; rows are compared only at equal stride.
     """
     has = makes = 0
-    made_at = {}
-    for i, _, key, made in _rotation_rows(scan, stride):
+    for _, _, key, made in _rotation_rows(scan, stride):
         has |= 1 << key
-        made_at[i] = bit = 1 << made
-        makes |= bit
-    return has, makes, made_at
+        makes |= 1 << made
+    return has, makes
+
+
+def _packed_row(word: str) -> tuple:
+    """The (word, has, makes) row of ``word`` at stride size + 1, which
+    exceeds every leaf label: rows of words of one size compare."""
+    return (word, *_interval_masks(word_scan(word), len(word) // 2 + 1))
 
 
 def _difficult_pairs(left, right):
@@ -103,70 +105,6 @@ def _difficult_pairs(left, right):
             if u_blocked & v_has or v_makes & u_has or u_word == v_word:
                 continue
             found.append((u_word, v_word))
-    return found
-
-
-def _grown_rows(words) -> list:
-    """For each of ``words``, the (word, has, makes) rows of its growth
-    neighbors in lexicographic order, equal to those built from
-    ``_interval_masks(word_scan(grown), stride)`` for a stride of the
-    largest size + 2, which exceeds every label of a grown word.
-
-    Each given word is scanned once and its fields are built in one walk;
-    its grown words are never scanned.  Growing at a node v with
-    interval [a, b] relabels the other nodes' intervals and created intervals
-    region by region of the packed table (rows are lower bounds, columns
-    upper bounds): bits in ``stay`` keep their key, bits in ``step`` move one
-    column right, and every other bit moves one row and one column.  Then
-    only the new node's interval and the created intervals of v and the new
-    node change.  A created interval crosses exactly one tree interval, so no
-    two nodes share a created bit and clearing v's old one is safe.
-    """
-    stride = max(len(w) for w in words) // 2 + 2
-    lift = stride + 1
-    full = (1 << stride) - 1
-    repeat = [0]  # repeat[c]: column 0 of every row < c
-    for r in range(stride):
-        repeat.append(repeat[-1] | 1 << r * stride)
-    beyond = [repeat[c] * (full ^ ((1 << c) - 1)) for c in range(stride)]  # rows < c, columns >= c
-    inside = [((1 << c * stride) - 1) ^ beyond[c] for c in range(stride)]  # rows < c, columns < c
-    found = []
-    for word in words:
-        parent, ends, lower, upper = scan = word_scan(word)
-        has, makes, made_at = _interval_masks(scan, stride)
-        k = len(word) // 2
-        rows = []
-        for grown, (i, end, right) in _grow_sites(word, ends).items():
-            a, b = lower[i], upper[i]
-            internal = word[i] == "1"
-            if right:  # fresh leaf a: labels >= a shift; in row a only spans past b keep lower a
-                step = beyond[a] | full >> b + 1 << a * stride + b + 1
-                stay = inside[a]
-            else:  # fresh leaf b + 1: labels > b shift, and so do v's ancestors ending at b
-                column = repeat[a] << b
-                step = beyond[b + 1] | column
-                stay = inside[b + 1] ^ column
-            made = makes ^ made_at.get(i, 0)
-            kept, moved = has & stay, has & step
-            new_has = kept | moved << 1 | (has ^ kept ^ moved) << lift
-            kept, moved = made & stay, made & step
-            new_makes = kept | moved << 1 | (made ^ kept ^ moved) << lift
-            if i:  # the new node [a, b + 1] takes v's place below v's parent p
-                p = parent[i]
-                new_has |= 1 << a * stride + b + 1
-                if i == p + 1:
-                    new_makes |= 1 << (a + 1 if right else b + 1) * stride + upper[p] + 1
-                else:
-                    new_makes |= 1 << lower[p] * stride + (a if right else b)
-            elif internal:  # the old root is now a child, and its span counts
-                new_has |= 1 << (stride + k + 1 if right else k)
-            if internal:
-                if right:
-                    new_makes |= 1 << a * stride + upper[i + 1] + 1
-                else:
-                    new_makes |= 1 << lower[ends[i + 1]] * stride + b + 1
-            rows.append((grown, new_has, new_makes))
-        found.append(sorted(rows))
     return found
 
 
@@ -192,9 +130,9 @@ def _grow_classes(word: str, stride: int) -> tuple:
     - ``rights``, ``lefts``: the rows of the right and left sites in those
       orders;
     - ``added``: (row, key, created) for each interval the step itself
-      adds, as ``_grown_rows`` sets them: the new node's interval (at the
-      root, the old root's span), its created interval and the grown
-      node's new created interval;
+      adds, keyed as ``_interval_masks`` keys the grown word's: the new
+      node's interval (at the root, the old root's span), its created
+      interval and the grown node's new created interval;
     - ``placed``: (key, created, cuts, own) for each non-root and created
       interval of the word, where cuts = (right moves end, right steps end,
       left moves end, left steps end) and own = the positions of the
@@ -280,8 +218,9 @@ def _grow_images(word: str, stride: int) -> tuple:
 
 
 def _near_miss_pairs(s: str, t: str) -> list:
-    """``_difficult_pairs(*_grown_rows((s, t)))`` for two words of one size
-    k >= 1, found without building a k^2-bit row.
+    """The list ``_difficult_pairs`` gives over the ``_packed_row`` rows of
+    the growth neighbors of two words of one size k >= 1, in lexicographic
+    order, found without building a k^2-bit row.
 
     A grown U of s and a grown V of t conflict when some interval is in
     both, or one has an interval the other creates; U = V shares every

@@ -8,13 +8,14 @@ both trees left at their anchors always yields another difficult pair, so
 the loop cannot strand.
 
 A step has (2k)^2 candidate pairs (a size-k tree has 2k growth
-neighbors), of which a few percent are difficult.  Parents below size
-``_NEAR_MISS_SIZE`` filter all of them on the packed rows of ``growth``:
-two ANDs of the grown words' interval masks and a word compare decide each
-pair (``growth._difficult_pairs``), and each grown neighbor's row is
-derived from its parent's masks (``growth._grown_rows``).  Larger parents
-take ``growth._near_miss_pairs``, which visits no candidate pair: it reads
-each grown word's conflicts off the near misses between the two parents'
+neighbors), of which a few percent are difficult.  Parents below the
+census guard ``PAIR_GUARD`` filter all of them on the packed rows of
+``growth``: two ANDs of the grown words' interval masks and a word compare
+decide each pair (``growth._difficult_pairs``).  Each grown word's row is
+built from scratch, as the census builds it, and memoized per word, which
+holds at most the 2,033 words of sizes 5-8.  Larger parents take
+``growth._near_miss_pairs``, which visits no candidate pair: it reads each
+grown word's conflicts off the near misses between the two parents'
 intervals and lists only the free pairs.  Both give the same list, and
 tests hold them against each other at every size.  A single pair
 (``is_difficult``) goes through the reduction step instead.  The
@@ -32,12 +33,13 @@ n = 7 and 21,622 of 23,150 at n = 8 are reachable).
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
-from .census import primitive_pairs
+from .census import PAIR_GUARD, primitive_pairs
 from .errors import NotDifficultError
-from .growth import _difficult_pairs, _grown_rows, _near_miss_pairs
+from .growth import _difficult_pairs, _grow_sites, _near_miss_pairs, _packed_row
 from .rotations import TreePair, is_difficult
-from .words import TreeWord, _require_count
+from .words import TreeWord, _require_count, word_scan
 
 __all__ = [
     "DEFAULT_SEED",
@@ -60,19 +62,21 @@ _STARTS = tuple(
 )
 
 
-# Parents of this size and up take ``growth._near_miss_pairs``; below it the
-# packed rows cost less per step, and from here on the near-miss step wins
-# (timed per step along seeded n = 100 walks: parity at k = 26-27).
-_NEAR_MISS_SIZE = 28
+# The rows of the grown words of parents below PAIR_GUARD, built once per
+# process.  The keys are words of sizes 5 to PAIR_GUARD only.
+_grown_row = lru_cache(maxsize=None)(_packed_row)
 
 
 def _difficult_grown_pairs(s, t):
     """All difficult (U, V) over growth neighbors of s and t, in lexicographic
     order; never empty for a difficult (s, t)."""
-    if len(s) // 2 >= _NEAR_MISS_SIZE:
-        found = _near_miss_pairs(s, t)
+    if len(s) // 2 < PAIR_GUARD:
+        u_rows, v_rows = (
+            [_grown_row(g) for g in sorted(_grow_sites(w, word_scan(w).subtree_end))] for w in (s, t)
+        )
+        found = _difficult_pairs(u_rows, v_rows)
     else:
-        found = _difficult_pairs(*_grown_rows((s, t)))
+        found = _near_miss_pairs(s, t)
     if not found:
         raise RuntimeError("difficult pair has no difficult grown pair; growth closure is broken")
     return found

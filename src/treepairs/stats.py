@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
-from .census import PAIR_GUARD, enumerate_difficult_pairs, enumerate_trees
+from .census import PAIR_GUARD, enumerate_difficult_pairs
 from .growth import remy_sample
 from .rotations import TreePair, reduce_pair
 from .sampling import MIN_SIZE, sample_difficult_pair
@@ -23,8 +23,8 @@ def _universe(n):
 
 
 @lru_cache(maxsize=PAIR_GUARD + 1)
-def _words(n):
-    return {w: w for w in map(str, enumerate_trees(n))}  # one str per word, shared by every report
+def _shared(n):
+    return {}  # each word and pair drawn at size n, mapped to the one object every report keys by
 
 
 def _nearest_rank(sorted_values, q):
@@ -93,17 +93,20 @@ def coverage_report(n: int, samples: int, rng) -> CoverageReport:
     """Draw ``samples`` difficult pairs of size ``n`` and tally them.
 
     The tally keys are pairs of plain ``str`` words with one object per
-    distinct word: a ``TreeWord`` takes about twice the memory of a ``str``,
-    and callers may keep many reports.  Up to ``PAIR_GUARD`` the reports of
-    one size share those objects too.
+    distinct word and per distinct pair: a ``TreeWord`` takes about twice
+    the memory of a ``str``, and callers may keep many reports.  Up to
+    ``PAIR_GUARD``, where a size has few enough pairs to keep them all, the
+    reports of one size share those objects too, so a report adds only its
+    counts.
     """
     _require_count(n, "size", MIN_SIZE)
     _require_count(samples, "samples")
     frequencies = Counter()
-    words = dict(_words(n)) if n <= PAIR_GUARD else {}
+    shared = _shared(n) if n <= PAIR_GUARD else {}
     for _ in range(samples):
-        s, t = (words.setdefault(w, str(w)) for w in sample_difficult_pair(n, rng))
-        frequencies[TreePair(s, t)] += 1
+        s, t = (shared.setdefault(w, w) for w in map(str, sample_difficult_pair(n, rng)))
+        pair = TreePair(s, t)
+        frequencies[shared.setdefault(pair, pair)] += 1
     counts = sorted(frequencies.values())
     if counts:
         q3_q1 = _nearest_rank(counts, 0.75) / _nearest_rank(counts, 0.25)

@@ -2,18 +2,24 @@ import math
 import random
 from collections import defaultdict
 from fractions import Fraction
-from functools import reduce
-from operator import or_
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import difficult_by_recomputation, interval_sets, tree_pairs, tree_words
+from conftest import (
+    difficult_by_recomputation,
+    growth_by_substitution,
+    interval_sets,
+    tree_pairs,
+    tree_words,
+)
 from treepairs import (
+    PAIR_GUARD,
     NotDifficultError,
     SizeTooSmallError,
     TreeWord,
     anchor_growth,
+    catalan,
     coverage_report,
     enumerate_difficult_pairs,
     enumerate_trees,
@@ -24,8 +30,8 @@ from treepairs import (
     sample_difficult_pair,
     sample_with_choice_counts,
 )
-from treepairs.growth import _difficult_pairs, _grown_rows, _interval_masks, _near_miss_pairs
-from treepairs.sampling import _STARTS, MIN_SIZE, _difficult_grown_pairs
+from treepairs.growth import _difficult_pairs, _interval_masks, _near_miss_pairs
+from treepairs.sampling import _STARTS, MIN_SIZE, _difficult_grown_pairs, _grown_row
 from treepairs.words import word_scan
 
 
@@ -43,30 +49,19 @@ def _mask_to_set(mask, stride):
 @given(tree_words(max_size=25), st.integers(0, 3))
 def test_masks_agree_with_interval_sets(word, pad):
     stride = word.size + 2 + pad
-    has, makes, made_at = _interval_masks(word_scan(word), stride)
+    has, makes = _interval_masks(word_scan(word), stride)
     spans, created = interval_sets(word)
     assert (_mask_to_set(has, stride), _mask_to_set(makes, stride)) == (spans, created)
-    # one created bit per rotatable node; they OR to makes
-    assert sorted(made_at) == [i for i in range(1, len(word)) if word[i] == "1"]
-    assert all(bit.bit_count() == 1 for bit in made_at.values())
-    assert reduce(or_, made_at.values(), 0) == makes
-
-
-@given(tree_words(min_size=0, max_size=25), tree_words(min_size=0, max_size=25))
-@example(TreeWord("0"), TreeWord("100"))  # k = 1: the old root span [0, 1] or [1, 2] becomes a child's
-@example(TreeWord("10100"), TreeWord("11000"))  # leaf growth next to a two-leaf interval, on either side
-@example(TreeWord("1011000"), TreeWord("1100100"))
-def test_grown_rows_equal_masks_built_from_scratch(word, other):
-    # the grown words have labels up to the larger size + 1
-    stride = max(word.size, other.size) + 2
-    derived = _grown_rows([word, other])
-    for parent, rows in zip((word, other), derived):
-        grown = sorted(growth_neighbors(parent))
-        assert rows == [(g, *_interval_masks(word_scan(g), stride)[:2]) for g in grown]
 
 
 def _packed_choices(s, t):
-    return _difficult_pairs(*_grown_rows((s, t)))
+    # rows built from scratch: the grown words have labels up to k + 1
+    stride = len(s) // 2 + 2
+    rows = (
+        [(g, *_interval_masks(word_scan(g), stride)) for g in sorted(growth_neighbors(w))]
+        for w in (s, t)
+    )
+    return _difficult_pairs(*rows)
 
 
 @pytest.mark.parametrize("n", range(4, 8))
@@ -202,18 +197,39 @@ class TestPairChoices:
             assert difficult_by_recomputation(u, v)
 
 
-@given(st.integers(4, 8), st.integers(0, 2**32 - 1))
+@given(st.integers(4, PAIR_GUARD + 2), st.integers(0, 2**32 - 1))
 def test_choices_match_brute_force(n, seed):
-    from treepairs import growth_neighbors
-
+    # both sides of the PAIR_GUARD switch, against oracles sharing no treepairs code
     pair = sample_difficult_pair(n, random.Random(seed))
     brute = {
         (u, v)
-        for u in growth_neighbors(pair.s)
-        for v in growth_neighbors(pair.t)
+        for u in growth_by_substitution(pair.s)
+        for v in growth_by_substitution(pair.t)
         if difficult_by_recomputation(u, v)
     }
     assert {tuple(c) for c in pair_choices(pair)} == brute
+
+
+class TestGrownRowMemo:
+    def test_holds_only_the_grown_words_of_small_steps(self):
+        _grown_row.cache_clear()
+        sample_difficult_pair(40, random.Random(1))
+        # the walk's first steps are the shorter samples of the same seed
+        parents = [sample_difficult_pair(n, random.Random(1)) for n in range(MIN_SIZE, PAIR_GUARD)]
+        grown = {g for pair in parents for w in pair for g in growth_neighbors(w)}
+        assert all(len(g) // 2 <= PAIR_GUARD for g in grown)
+        assert _grown_row.cache_info().currsize == len(grown) <= 2033
+        assert 2033 == sum(catalan(n) for n in range(MIN_SIZE + 1, PAIR_GUARD + 1))
+        misses = _grown_row.cache_info().misses
+        for g in grown:
+            _grown_row(str(g))
+        assert _grown_row.cache_info().misses == misses  # the keys are exactly those words
+
+    def test_cold_and_warm_memo_give_the_same_pair(self):
+        _grown_row.cache_clear()
+        cold = sample_difficult_pair(12, random.Random(5))
+        assert _grown_row.cache_info().currsize
+        assert sample_difficult_pair(12, random.Random(5)) == cold
 
 
 class TestSampler:

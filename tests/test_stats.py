@@ -47,6 +47,11 @@ class TestCoverage:
         common = [word for pair in second.frequencies for word in pair if word in seen]
         assert common
         assert all(word is seen[word] for word in common)
+        # and pair objects
+        pairs = {pair: pair for pair in first.frequencies}
+        common = [pair for pair in second.frequencies if pair in pairs]
+        assert common
+        assert all(pair is pairs[pair] for pair in common)
 
     def test_universe_unknown_beyond_guard(self):
         report = coverage_report(9, 5, random.Random(0))
