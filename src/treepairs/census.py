@@ -54,23 +54,27 @@ def enumerate_trees(n: int, max_size: int = TREE_GUARD) -> list:
     if n > _require_count(max_size, "max_size"):
         raise SizeGuardExceededError(f"size {n} exceeds the census guard {max_size}")
     words = []
-    symbols = []
-
-    def walk(ones, zeros):
-        if zeros == n + 1:
-            words.append(TreeWord._trusted("".join(symbols)))
-            return
-        if zeros < ones or (ones == n and zeros == n):
-            symbols.append("0")
-            walk(ones, zeros + 1)
-            symbols.pop()
-        if ones < n:
-            symbols.append("1")
-            walk(ones + 1, zeros)
-            symbols.pop()
-
-    walk(0, 0)
+    _extend(n, 0, 0, [], words)
     return words
+
+
+def _extend(n, ones, zeros, symbols, words):
+    """Append to ``words`` every size-``n`` word that starts with
+    ``symbols`` (``ones`` 1s and ``zeros`` 0s), trying '0' before '1'.  A
+    module function rather than a closure that calls itself: that closure
+    would hold itself in a cell, and the cycle would keep ``words`` alive
+    until the cyclic collector ran."""
+    if zeros == n + 1:
+        words.append(TreeWord._trusted("".join(symbols)))
+        return
+    if zeros < ones or (ones == n and zeros == n):
+        symbols.append("0")
+        _extend(n, ones, zeros + 1, symbols, words)
+        symbols.pop()
+    if ones < n:
+        symbols.append("1")
+        _extend(n, ones + 1, zeros, symbols, words)
+        symbols.pop()
 
 
 def enumerate_difficult_pairs(n: int, max_size: int = PAIR_GUARD) -> list:

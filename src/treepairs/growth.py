@@ -5,9 +5,9 @@ is a new leaf; v becomes the left or right child.  Iterating grow steps with
 uniform choices over the 2k + 1 nodes and the two sides is the classic way
 to draw a size-n tree uniformly at random among the Catalan(n) possibilities
 (``remy_sample``).  Of a size-k tree's 3k + 1 grow sites only 2k grow
-distinct trees, so ``_grow_sites`` keys the sites by the word they grow and
-keeps the first of each; ``growth_neighbors``, the sampler and
-``_grow_classes`` all read that map.
+distinct trees, so ``_grow_sites`` keeps one site per grown word, in the
+lexicographic order of the words, which it finds without building them;
+``growth_neighbors``, the sampler and ``_grow_classes`` all read that list.
 
 The *anchor* of a tree is the internal node whose right child is the
 highest-labelled leaf, i.e. the lowest node on the right spine.  Growing
@@ -17,17 +17,20 @@ carries nodes of a word into its anchor growth: everything before the anchor
 keeps its index, everything from the anchor on shifts right by one past the
 inserted '1'.
 
-The two halves of the sampler's step, which lists the difficult pairs of
+The two halves of the sampler's step, which finds the difficult pairs of
 grown words of a pair, live here too.  The packed rows (word, has, makes):
 ``_interval_masks`` builds a word's masks in one walk, ``_packed_row``
 makes a word's row from them, and ``_difficult_pairs`` filters pairs of
-rows; the census and the sampler's small steps, which memoize the rows of
-the few small grown words, build rows this way.  The near-miss step,
-``_near_miss_pairs``, builds no row: ``_grow_classes`` places every
-interval of a parent in all of its grown words at once, as runs of grow
-sites, and ``_grow_images`` turns that into masks of grown words per
-interval.  ``_grow_classes`` is the one place that says where a grow step
-moves an interval.
+rows into a list; the census and the sampler's small steps, which memoize
+the rows of the few small grown words, build rows this way.  The near-miss
+step, ``_near_miss_masks``, builds no row and lists no pair: it gives per
+grown U of one parent the mask of the grown V of the other that U makes a
+difficult pair with, and grow sites in place of words, so the sampler
+counts the pairs and builds only the one it draws.  ``_grow_classes``
+places every interval of a parent in all of its grown words at once, as
+runs of grow sites, and ``_grow_images`` turns that into masks of grown
+words per interval.  ``_grow_classes`` is the one place that says where a
+grow step moves an interval.
 
 Randomness is always taken from a caller-owned ``random.Random`` instance
 (Mersenne Twister), so identical seeds reproduce identical trees on every
@@ -64,15 +67,44 @@ def _grown(word: str, index: int, end: int, right: bool) -> str:
     return word[:index] + "1" + word[index:end] + "0" + word[end:]
 
 
-def _grow_sites(word: str, ends) -> dict:
-    """Every distinct word grown from ``word``, mapped to its first grow site
-    (index, subtree end, right) in word order, growing left before right.  A
-    leaf grows only left: its two sides give one word."""
-    sites = {}
-    for i, end in enumerate(ends):
-        for right in (False, True) if word[i] == "1" else (False,):
-            sites.setdefault(_grown(word, i, end, right), (i, end, right))
-    return sites
+def _grow_sites(word: str, ends) -> list:
+    """One grow site (index, subtree end, right) per distinct word grown
+    from ``word``, in the lexicographic order of those words, found
+    without building them.  Each is its word's first site in word order,
+    growing left before right; a leaf grows only left.
+
+    A grown word is ``word`` with a '1' put in at some x and a '0' at some
+    y >= x (``_grown``).  Moving the '1' right through a run of 1s, or the
+    '0' through a run of 0s, grows the same word, and so does moving "10"
+    (x = y) through a run of "10"s.  Moved as far right as that goes, x is
+    where the grown word first differs from ``word``: growing left at a
+    node puts the '1' at the node's first leaf and the '0' at its subtree
+    end; growing a leaf, or right at a node, puts "10" at the node, and
+    the run of "10"s from there ends at a leaf (the '1' at x) or at "11"
+    (the '0' at x + 1).  A word with a '0' where ``word`` has a '1' is
+    smaller than every word that differs from ``word`` only later, and one
+    with a '1' bigger.  So the smaller words come first by x, then the
+    bigger ones by x descending and, at one x, by the moved y ascending,
+    and one such key names one word.
+    """
+    size = len(word)
+    span = size + 1
+    next_one = [size] * span  # the first '1' at or after y, else size
+    run_end = [0] * size  # where the run of "10"s from x ends
+    leaf = size  # the first '0' at or after i
+    sites = {}  # filled right to left: the first site of a word wins
+    for i in range(size - 1, -1, -1):
+        if word[i] == "0":
+            leaf = run_end[i] = i
+            next_one[i] = y = next_one[i + 1]
+            sites[(size - i) * span + y] = (i, ends[i], False)
+        else:
+            next_one[i] = i
+            x = run_end[i] = run_end[i + 2] if word[i + 1] == "0" else i
+            end = ends[i]
+            sites[(size - x) * span + next_one[x + 1] if word[x] == "0" else x - size] = (i, end, True)
+            sites[(size - leaf) * span + next_one[end]] = (i, end, False)
+    return [sites[key] for key in sorted(sites)]
 
 
 def _interval_masks(scan: WordScan, stride: int) -> tuple:
@@ -108,49 +140,61 @@ def _difficult_pairs(left, right):
     return found
 
 
+def _pairs(us, vs, free) -> list:
+    """The pairs (us[r], vs[c]) for every bit c of free[r], row by row and
+    each row's bits ascending: in lexicographic order when us and vs are."""
+    found = []
+    for u, mask in zip(us, free):
+        while mask:
+            low = mask & -mask
+            found.append((u, vs[low.bit_length() - 1]))
+            mask ^= low
+    return found
+
+
 def _grow_classes(word: str, stride: int) -> tuple:
-    """The growth neighbors of ``word`` in row order and where each grow
-    step takes the word's intervals, for ``_near_miss_pairs``.
+    """The grow sites of ``word`` in row order and where each grow step
+    takes the word's intervals, for ``_near_miss_masks``.
 
     Growing at a node with interval [a, b] takes every non-root interval
     [l, h] and every created interval of the word to itself (*stay*), to
     [l, h + 1] (*step*) or to [l + 1, h + 1] (*move*).  Growing right: stay
     if h < a, step if l < a <= h or (l = a and h > b), else move.  Growing
     left: move if l > b, step if l <= b < h or (h = b and l < a), else stay.
-    So over the right sites sorted by (a, -b) an interval's moves come
-    first, its steps next and its stays last, and so they do over the left
-    sites sorted by (b, -a): two cuts in each order place the interval in
-    every grown word.  The one exception is a node's created interval,
-    which is gone at the node's own sites.
+    So over the right sites sorted by (a, -b), which is word order, an
+    interval's moves come first, its steps next and its stays last, and so
+    they do over the left sites sorted by (b, -a): two cuts in each order
+    place the interval in every grown word.  The one exception is a node's
+    created interval, which is gone at the node's own sites.
 
-    Returns (grown, rights, lefts, added, placed), keys being lower * stride
-    + upper as in ``_interval_masks``:
-    - ``grown``: the distinct grown words in lexicographic order, row r
-      growing ``grown[r]``;
+    Returns (scan, sites, rights, lefts, added, place), keys being
+    lower * stride + upper as in ``_interval_masks``:
+    - ``sites``: the ``_grow_sites`` of ``word``, row r growing at
+      ``sites[r]``;
     - ``rights``, ``lefts``: the rows of the right and left sites in those
       orders;
     - ``added``: (row, key, created) for each interval the step itself
       adds, keyed as ``_interval_masks`` keys the grown word's: the new
       node's interval (at the root, the old root's span), its created
       interval and the grown node's new created interval;
-    - ``placed``: (key, created, cuts, own) for each non-root and created
-      interval of the word, where cuts = (right moves end, right steps end,
-      left moves end, left steps end) and own = the positions of the
-      creating node's sites in the two orders, -1 for none.
+    - ``place(key, node)``: (right moves end, right steps end, left moves
+      end, left steps end, right own, left own) for a non-root interval
+      (node -1) or the interval the node creates, where own is the
+      position of the node's site in that order, -1 for none.
     """
     parent, ends, lower, upper = scan = word_scan(word)
-    k = len(word) // 2
+    size = len(word)
+    k = size // 2
     sites = _grow_sites(word, ends)
-    grown = sorted(sites)
-    rights, lefts, added = [], [], []
-    for row, grown_word in enumerate(grown):
-        i, _, right = sites[grown_word]
+    right_row, left_row = [-1] * size, [-1] * size
+    added = []
+    for row, (i, _, right) in enumerate(sites):
         a, b = lower[i], upper[i]
         internal = word[i] == "1"
         if right:
-            rights.append((a * stride - b, row, i))
+            right_row[i] = row
         else:
-            lefts.append((b * stride - a, row, i))
+            left_row[i] = row
         if i:
             p = parent[i]
             added.append((row, a * stride + b + 1, False))
@@ -165,33 +209,41 @@ def _grow_classes(word: str, stride: int) -> tuple:
                 added.append((row, a * stride + upper[i + 1] + 1, True))
             else:
                 added.append((row, lower[ends[i + 1]] * stride + b + 1, True))
-    rights.sort()
-    lefts.sort()
-    right_keys = [key for key, _, _ in rights]
-    left_keys = [key for key, _, _ in lefts]
-    right_at = {i: at for at, (_, _, i) in enumerate(rights)}
-    left_at = {i: at for at, (_, _, i) in enumerate(lefts)}
-    placed = []
-    for i, _, has, made in _rotation_rows(scan, stride):
-        for key, created in ((has, False), (made, True)):
-            low, high = divmod(key, stride)
-            cuts = (
-                bisect_right(right_keys, low * stride - high),
-                bisect_right(right_keys, high * stride),
-                bisect_right(left_keys, (low - 1) * stride),
-                bisect_left(left_keys, high * stride - low),
-            )
-            own = (right_at.get(i, -1), left_at.get(i, -1)) if created else (-1, -1)
-            placed.append((key, created, cuts, own))
-    return grown, [row for _, row, _ in rights], [row for _, row, _ in lefts], added, placed
+    rights, right_keys, right_at = [], [], [-1] * size
+    for i, row in enumerate(right_row):
+        if row >= 0:
+            right_at[i] = len(rights)
+            rights.append(row)
+            right_keys.append(lower[i] * stride - upper[i])
+    post = [upper[i] * stride - lower[i] for i in range(size)]
+    lefts, left_keys, left_at = [], [], [-1] * size
+    for i in sorted(range(size), key=post.__getitem__):
+        row = left_row[i]
+        if row >= 0:
+            left_at[i] = len(lefts)
+            lefts.append(row)
+            left_keys.append(post[i])
+
+    def place(key, node):
+        low, high = divmod(key, stride)
+        return (
+            bisect_right(right_keys, low * stride - high),
+            bisect_right(right_keys, high * stride),
+            bisect_right(left_keys, (low - 1) * stride),
+            bisect_left(left_keys, high * stride - low),
+            right_at[node] if node >= 0 else -1,
+            left_at[node] if node >= 0 else -1,
+        )
+
+    return scan, sites, rights, lefts, added, place
 
 
 def _grow_images(word: str, stride: int) -> tuple:
-    """(grown, has, makes): the growth neighbors of ``word`` in row order,
-    as in ``_grow_classes``, and maps from interval key to the mask of the
-    rows whose word has that non-root interval (``has``) or creates it
+    """(sites, has, makes): the grow sites of ``word`` in row order, as in
+    ``_grow_classes``, and maps from interval key to the mask of the rows
+    whose word has that non-root interval (``has``) or creates it
     (``makes``)."""
-    grown, rights, lefts, added, placed = _grow_classes(word, stride)
+    scan, sites, rights, lefts, added, place = _grow_classes(word, stride)
     has, makes = {}, {}
     for row, key, created in added:
         table = makes if created else has
@@ -200,27 +252,31 @@ def _grow_images(word: str, stride: int) -> tuple:
     left_firsts = list(accumulate((1 << row for row in lefts), or_, initial=0))
     every = right_firsts[-1] | left_firsts[-1]
     lift = stride + 1
-    for key, created, (rm, rs, lm, ls), (ro, lo) in placed:
-        moves = right_firsts[rm] | left_firsts[lm]
-        moves_and_steps = right_firsts[rs] | left_firsts[ls]
-        own = (1 << rights[ro] if ro >= 0 else 0) | (1 << lefts[lo] if lo >= 0 else 0)
-        keep = ~own
-        table = makes if created else has
-        for at, rows in (
-            (key, every ^ moves_and_steps),
-            (key + 1, moves_and_steps ^ moves),
-            (key + lift, moves),
-        ):
-            rows &= keep
+    for i, _, has_key, made_key in _rotation_rows(scan, stride):
+        for key, node, table in ((has_key, -1, has), (made_key, i, makes)):
+            rm, rs, lm, ls, ro, lo = place(key, node)
+            moves = right_firsts[rm] | left_firsts[lm]
+            moves_and_steps = right_firsts[rs] | left_firsts[ls]
+            keep = ~((1 << rights[ro] if ro >= 0 else 0) | (1 << lefts[lo] if lo >= 0 else 0))
+            rows = (every ^ moves_and_steps) & keep
             if rows:
-                table[at] = table.get(at, 0) | rows
-    return grown, has, makes
+                table[key] = table.get(key, 0) | rows
+            rows = (moves_and_steps ^ moves) & keep
+            if rows:
+                table[key + 1] = table.get(key + 1, 0) | rows
+            rows = moves & keep
+            if rows:
+                table[key + lift] = table.get(key + lift, 0) | rows
+    return sites, has, makes
 
 
-def _near_miss_pairs(s: str, t: str) -> list:
-    """The list ``_difficult_pairs`` gives over the ``_packed_row`` rows of
-    the growth neighbors of two words of one size k >= 1, in lexicographic
-    order, found without building a k^2-bit row.
+def _near_miss_masks(s: str, t: str) -> tuple:
+    """(us, vs, free): the grow sites of two words of one size k >= 1 in
+    the lexicographic order of their grown words (``_grow_sites``), and
+    per U the mask of the V rows it makes a difficult pair with, found
+    without building a row or a grown word.  Bit c of free[r] is set just
+    when ``_difficult_pairs`` over the ``_packed_row`` rows lists
+    (U_r, V_c), so ``_pairs`` lists the same pairs in the same order.
 
     A grown U of s and a grown V of t conflict when some interval is in
     both, or one has an interval the other creates; U = V shares every
@@ -231,7 +287,7 @@ def _near_miss_pairs(s: str, t: str) -> list:
     (``_grow_images``).  When (s, t) is difficult, an interval I of s and J
     of t meet only as near misses: J - I is (0, 1), (0, -1), (1, 1),
     (-1, -1), (1, 0) or (-1, 0), I and J in different classes, so few
-    lookups hit.
+    lookups hit, and only an interval whose images hit is placed.
 
     The U rows of one class of an interval of s are a run in each site
     order.  A run at the start or the end of an order is marked once at its
@@ -242,7 +298,7 @@ def _near_miss_pairs(s: str, t: str) -> list:
     """
     stride = len(s) // 2 + 2  # exceeds every label of a grown word
     lift = stride + 1
-    us, rights, lefts, added, placed = _grow_classes(s, stride)
+    scan, us, rights, lefts, added, place = _grow_classes(s, stride)
     vs, has, makes = _grow_images(t, stride)
     blocked = [0] * len(us)
     for row, key, created in added:
@@ -265,16 +321,25 @@ def _near_miss_pairs(s: str, t: str) -> list:
             for at in range(start, stop):
                 blocked[order[at]] |= cols
 
-    for key, created, (rm, rs, lm, ls), (ro, lo) in placed:
-        for at, right_run, left_run in (
-            (key, (rs, len(rights)), (ls, len(lefts))),
-            (key + 1, (rm, rs), (lm, ls)),
-            (key + lift, (0, rm), (0, lm)),
-        ):
-            cols = has.get(at, 0) if created else has.get(at, 0) | makes.get(at, 0)
-            if cols:
-                cover(rights, right_heads, right_tails, *right_run, ro, cols)
-                cover(lefts, left_heads, left_tails, *left_run, lo, cols)
+    for i, _, has_key, made_key in _rotation_rows(scan, stride):
+        for key, node in ((has_key, -1), (made_key, i)):
+            if node < 0:
+                stay = has.get(key, 0) | makes.get(key, 0)
+                step = has.get(key + 1, 0) | makes.get(key + 1, 0)
+                move = has.get(key + lift, 0) | makes.get(key + lift, 0)
+            else:
+                stay, step, move = has.get(key, 0), has.get(key + 1, 0), has.get(key + lift, 0)
+            if not (stay or step or move):
+                continue
+            rm, rs, lm, ls, ro, lo = place(key, node)
+            for cols, right_run, left_run in (
+                (stay, (rs, len(rights)), (ls, len(lefts))),
+                (step, (rm, rs), (lm, ls)),
+                (move, (0, rm), (0, lm)),
+            ):
+                if cols:
+                    cover(rights, right_heads, right_tails, *right_run, ro, cols)
+                    cover(lefts, left_heads, left_tails, *left_run, lo, cols)
     for order, heads, tails in ((rights, right_heads, right_tails), (lefts, left_heads, left_tails)):
         run = 0
         for at in range(len(order) - 1, -1, -1):
@@ -284,16 +349,8 @@ def _near_miss_pairs(s: str, t: str) -> list:
         for at, row in enumerate(order):
             run |= tails[at]
             blocked[row] |= run
-
     every = (1 << len(vs)) - 1
-    found = []
-    for u, conflicts in zip(us, blocked):
-        free = every & ~conflicts
-        while free:
-            low = free & -free
-            found.append((u, vs[low.bit_length() - 1]))
-            free ^= low
-    return found
+    return us, vs, [every & ~conflicts for conflicts in blocked]
 
 
 def grow(word: str, index: int, side: str = "left") -> TreeWord:
@@ -310,10 +367,11 @@ def growth_neighbors(word: str) -> set:
     n >= 1, and "100" from "0".
 
     Of the 3n + 1 grow sites (a leaf's two sides give one tree) n + 1
-    repeat another's tree; the neighbors are the keys of ``_grow_sites``,
-    so sampling layers treat each distinct neighbor once.
+    repeat another's tree; the neighbors are grown at ``_grow_sites``, so
+    sampling layers treat each distinct neighbor once.
     """
-    return {TreeWord._trusted(grown) for grown in _grow_sites(word, word_scan(word).subtree_end)}
+    ends = word_scan(word).subtree_end
+    return {TreeWord._trusted(_grown(word, *site)) for site in _grow_sites(word, ends)}
 
 
 def remy_sample(n: int, rng) -> TreeWord:

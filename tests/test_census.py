@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from conftest import difficult_by_recomputation
@@ -33,6 +35,16 @@ class TestTreeCensus:
         assert len(set(trees)) == len(trees)
         for word in trees:
             assert parse_word(word).size == n
+
+    def test_dropped_result_leaves_nothing_for_the_collector(self):
+        # reference counting alone frees the words: no cycle holds them
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(enumerate_trees(9)) == catalan(9)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_guard(self):
         with pytest.raises(SizeGuardExceededError):

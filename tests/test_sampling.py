@@ -30,8 +30,8 @@ from treepairs import (
     sample_difficult_pair,
     sample_with_choice_counts,
 )
-from treepairs.growth import _difficult_pairs, _interval_masks, _near_miss_pairs
-from treepairs.sampling import _STARTS, MIN_SIZE, _difficult_grown_pairs, _grown_row
+from treepairs.growth import _difficult_pairs, _grown, _interval_masks, _near_miss_masks, _pairs
+from treepairs.sampling import _STARTS, MIN_SIZE, _difficult_grown_pairs, _grown_row, _GrownPairs
 from treepairs.words import word_scan
 
 
@@ -64,6 +64,12 @@ def _packed_choices(s, t):
     return _difficult_pairs(*rows)
 
 
+def _near_miss_pairs(s, t):
+    # the near-miss step's free masks, listed
+    us, vs, free = _near_miss_masks(s, t)
+    return _pairs([_grown(s, *site) for site in us], [_grown(t, *site) for site in vs], free)
+
+
 @pytest.mark.parametrize("n", range(4, 8))
 def test_near_miss_step_equals_packed_rows_on_every_difficult_pair(n):
     for s, t in enumerate_difficult_pairs(n):
@@ -89,6 +95,28 @@ def test_near_miss_step_equals_packed_rows_along_seeded_chains(seed):
 def test_near_miss_step_equals_packed_rows_on_any_pair(pair):
     # exact for every pair of one size, difficult or not
     assert _near_miss_pairs(*pair) == _packed_choices(*pair)
+
+
+@pytest.mark.parametrize("k", [8, 12, 20, 40])
+def test_selecting_an_index_builds_the_pair_listed_there(k):
+    # count and select: the r-th pair built alone is the r-th of the list
+    s, t = sample_difficult_pair(k, random.Random(k))
+    listed = _packed_choices(s, t)
+    found = _GrownPairs(s, t)
+    total = len(listed)
+    assert len(found) == total
+    spread = set(range(0, total, max(1, total // 16))) | {1, total // 2, total - 2, total - 1}
+    for r in sorted(spread):
+        assert found[r] == listed[r], r
+    assert list(found) == listed
+
+
+def test_choice_counts_are_the_lengths_of_the_choice_lists():
+    pair, counts = sample_with_choice_counts(30, random.Random(11))
+    # the walk's parents are the shorter samples of the same seed
+    parents = [sample_difficult_pair(n, random.Random(11)) for n in range(MIN_SIZE, 30)]
+    assert counts == [len(pair_choices(parent)) for parent in parents]
+    assert pair == sample_difficult_pair(30, random.Random(11))
 
 
 def test_sampler_support_misses_pairs_not_grown_from_smaller_ones():
