@@ -18,11 +18,13 @@ keeps its index, everything from the anchor on shifts right by one past the
 inserted '1'.
 
 The two halves of the sampler's step, which finds the difficult pairs of
-grown words of a pair, live here too.  The packed rows (word, has, makes):
-``_interval_masks`` builds a word's masks in one walk, ``_packed_row``
-makes a word's row from them, and ``_difficult_pairs`` filters pairs of
-rows into a list; the census and the sampler's small steps, which memoize
-the rows of the few small grown words, build rows this way.  The near-miss
+grown words of a pair, live here too.  Every interval is keyed as
+``words._rotation_rows`` keys it, lower * len(word) + upper of the parent
+or scanned word, so no caller picks a stride.  The packed rows (word, has,
+makes): ``_packed_row`` builds a word's masks in one walk, and
+``_difficult_pairs`` filters pairs of rows into a list; the census and the
+sampler's small steps, which memoize the rows of the few small grown
+words, build rows this way.  The near-miss
 step, ``_near_miss_masks``, builds no row and lists no pair: it gives per
 grown U of one parent the mask of the grown V of the other that U makes a
 difficult pair with, and grow sites in place of words, so the sampler
@@ -44,7 +46,7 @@ from itertools import accumulate
 from operator import or_
 
 from .errors import MalformedWordError, NotInternalError
-from .words import TreeWord, WordScan, word_scan
+from .words import TreeWord, word_scan
 from .words import _require_count, _require_node, _rotation_rows
 
 __all__ = [
@@ -107,23 +109,16 @@ def _grow_sites(word: str, ends) -> list:
     return [sites[key] for key in sorted(sites)]
 
 
-def _interval_masks(scan: WordScan, stride: int) -> tuple:
-    """The masks (has, makes) of a scanned word, in one walk over
-    ``_rotation_rows``: bit masks of the non-root intervals and the created
-    intervals keyed lower * stride + upper, where ``stride`` exceeds every
-    leaf label; rows are compared only at equal stride.
-    """
+def _packed_row(word: str) -> tuple:
+    """The (word, has, makes) row of ``word``, in one walk over
+    ``_rotation_rows``: bit masks of its non-root intervals and of its
+    created intervals, each at its ``_rotation_rows`` key.  Rows of words
+    of one size compare."""
     has = makes = 0
-    for _, _, key, made in _rotation_rows(scan, stride):
+    for _, _, key, made in _rotation_rows(word_scan(word)):
         has |= 1 << key
         makes |= 1 << made
-    return has, makes
-
-
-def _packed_row(word: str) -> tuple:
-    """The (word, has, makes) row of ``word`` at stride size + 1, which
-    exceeds every leaf label: rows of words of one size compare."""
-    return (word, *_interval_masks(word_scan(word), len(word) // 2 + 1))
+    return word, has, makes
 
 
 def _difficult_pairs(left, right):
@@ -152,7 +147,7 @@ def _pairs(us, vs, free) -> list:
     return found
 
 
-def _grow_classes(word: str, stride: int) -> tuple:
+def _grow_classes(word: str) -> tuple:
     """The grow sites of ``word`` in row order and where each grow step
     takes the word's intervals, for ``_near_miss_masks``.
 
@@ -168,15 +163,16 @@ def _grow_classes(word: str, stride: int) -> tuple:
     created interval, which is gone at the node's own sites.
 
     Returns (scan, sites, rights, lefts, added, place), keys being
-    lower * stride + upper as in ``_interval_masks``:
+    lower * len(word) + upper as ``_rotation_rows`` keys them:
     - ``sites``: the ``_grow_sites`` of ``word``, row r growing at
       ``sites[r]``;
     - ``rights``, ``lefts``: the rows of the right and left sites in those
       orders;
     - ``added``: (row, key, created) for each interval the step itself
-      adds, keyed as ``_interval_masks`` keys the grown word's: the new
-      node's interval (at the root, the old root's span), its created
-      interval and the grown node's new created interval;
+      adds, keyed in the same frame, which holds the grown word's labels
+      up to k + 1: the new node's interval (at the root, the old root's
+      span), its created interval and the grown node's new created
+      interval;
     - ``place(key, node)``: (right moves end, right steps end, left moves
       end, left steps end, right own, left own) for a non-root interval
       (node -1) or the interval the node creates, where own is the
@@ -197,25 +193,25 @@ def _grow_classes(word: str, stride: int) -> tuple:
             left_row[i] = row
         if i:
             p = parent[i]
-            added.append((row, a * stride + b + 1, False))
+            added.append((row, a * size + b + 1, False))
             if i == p + 1:
-                added.append((row, (a + 1 if right else b + 1) * stride + upper[p] + 1, True))
+                added.append((row, (a + 1 if right else b + 1) * size + upper[p] + 1, True))
             else:
-                added.append((row, lower[p] * stride + (a if right else b), True))
+                added.append((row, lower[p] * size + (a if right else b), True))
         elif internal:
-            added.append((row, stride + k + 1 if right else k, False))
+            added.append((row, size + k + 1 if right else k, False))
         if internal:
             if right:
-                added.append((row, a * stride + upper[i + 1] + 1, True))
+                added.append((row, a * size + upper[i + 1] + 1, True))
             else:
-                added.append((row, lower[ends[i + 1]] * stride + b + 1, True))
+                added.append((row, lower[ends[i + 1]] * size + b + 1, True))
     rights, right_keys, right_at = [], [], [-1] * size
     for i, row in enumerate(right_row):
         if row >= 0:
             right_at[i] = len(rights)
             rights.append(row)
-            right_keys.append(lower[i] * stride - upper[i])
-    post = [upper[i] * stride - lower[i] for i in range(size)]
+            right_keys.append(lower[i] * size - upper[i])
+    post = [upper[i] * size - lower[i] for i in range(size)]
     lefts, left_keys, left_at = [], [], [-1] * size
     for i in sorted(range(size), key=post.__getitem__):
         row = left_row[i]
@@ -225,12 +221,12 @@ def _grow_classes(word: str, stride: int) -> tuple:
             left_keys.append(post[i])
 
     def place(key, node):
-        low, high = divmod(key, stride)
+        low, high = divmod(key, size)
         return (
-            bisect_right(right_keys, low * stride - high),
-            bisect_right(right_keys, high * stride),
-            bisect_right(left_keys, (low - 1) * stride),
-            bisect_left(left_keys, high * stride - low),
+            bisect_right(right_keys, low * size - high),
+            bisect_right(right_keys, high * size),
+            bisect_right(left_keys, (low - 1) * size),
+            bisect_left(left_keys, high * size - low),
             right_at[node] if node >= 0 else -1,
             left_at[node] if node >= 0 else -1,
         )
@@ -238,12 +234,12 @@ def _grow_classes(word: str, stride: int) -> tuple:
     return scan, sites, rights, lefts, added, place
 
 
-def _grow_images(word: str, stride: int) -> tuple:
+def _grow_images(word: str) -> tuple:
     """(sites, has, makes): the grow sites of ``word`` in row order, as in
     ``_grow_classes``, and maps from interval key to the mask of the rows
     whose word has that non-root interval (``has``) or creates it
     (``makes``)."""
-    scan, sites, rights, lefts, added, place = _grow_classes(word, stride)
+    scan, sites, rights, lefts, added, place = _grow_classes(word)
     has, makes = {}, {}
     for row, key, created in added:
         table = makes if created else has
@@ -251,8 +247,8 @@ def _grow_images(word: str, stride: int) -> tuple:
     right_firsts = list(accumulate((1 << row for row in rights), or_, initial=0))
     left_firsts = list(accumulate((1 << row for row in lefts), or_, initial=0))
     every = right_firsts[-1] | left_firsts[-1]
-    lift = stride + 1
-    for i, _, has_key, made_key in _rotation_rows(scan, stride):
+    lift = len(word) + 1
+    for i, _, has_key, made_key in _rotation_rows(scan):
         for key, node, table in ((has_key, -1, has), (made_key, i, makes)):
             rm, rs, lm, ls, ro, lo = place(key, node)
             moves = right_firsts[rm] | left_firsts[lm]
@@ -277,6 +273,8 @@ def _near_miss_masks(s: str, t: str) -> tuple:
     without building a row or a grown word.  Bit c of free[r] is set just
     when ``_difficult_pairs`` over the ``_packed_row`` rows lists
     (U_r, V_c), so ``_pairs`` lists the same pairs in the same order.
+    Both parents' keys share one frame, lower * len(s) + upper, which
+    holds the labels up to k + 1 of every grown word.
 
     A grown U of s and a grown V of t conflict when some interval is in
     both, or one has an interval the other creates; U = V shares every
@@ -296,10 +294,9 @@ def _near_miss_masks(s: str, t: str) -> tuple:
     walked row by row.  Each U row's conflict mask then leaves its free V
     rows.
     """
-    stride = len(s) // 2 + 2  # exceeds every label of a grown word
-    lift = stride + 1
-    scan, us, rights, lefts, added, place = _grow_classes(s, stride)
-    vs, has, makes = _grow_images(t, stride)
+    lift = len(s) + 1
+    scan, us, rights, lefts, added, place = _grow_classes(s)
+    vs, has, makes = _grow_images(t)
     blocked = [0] * len(us)
     for row, key, created in added:
         blocked[row] |= has.get(key, 0) if created else has.get(key, 0) | makes.get(key, 0)
@@ -321,7 +318,7 @@ def _near_miss_masks(s: str, t: str) -> tuple:
             for at in range(start, stop):
                 blocked[order[at]] |= cols
 
-    for i, _, has_key, made_key in _rotation_rows(scan, stride):
+    for i, _, has_key, made_key in _rotation_rows(scan):
         for key, node in ((has_key, -1), (made_key, i)):
             if node < 0:
                 stay = has.get(key, 0) | makes.get(key, 0)

@@ -103,13 +103,13 @@ def rotate(word: str, index: int) -> TreeWord:
     scan = _require_internal(word, index)
     if index == 0:
         raise NoParentError("the root cannot be rotated")
-    target = next(j for i, j, _, _ in _rotation_rows(scan, len(word)) if i == index)
+    target = next(j for i, j, _, _ in _rotation_rows(scan) if i == index)
     return TreeWord._trusted(_rotated(word, index, target))
 
 
 def rotation_neighbors(word: str) -> set:
     """All trees one rotation away; exactly n - 1 of them for a size-n tree."""
-    rows = _rotation_rows(word_scan(word), len(word))
+    rows = _rotation_rows(word_scan(word))
     return {TreeWord._trusted(_rotated(word, i, j)) for i, j, _, _ in rows}
 
 
@@ -136,9 +136,8 @@ def exact_distance(pair, max_size: int = DISTANCE_GUARD) -> int:
         raise SizeGuardExceededError(f"size {n} exceeds the search guard {max_size}")
     if s == t:
         return 0
-    stride = n + 1
-    goal = {key for _, _, key, _ in _rotation_rows(t_scan, stride)}
-    bound = len(goal - {key for _, _, key, _ in _rotation_rows(s_scan, stride)})
+    goal = {key for _, _, key, _ in _rotation_rows(t_scan)}
+    bound = len(goal - {key for _, _, key, _ in _rotation_rows(s_scan)})
     best = {s: 0}  # fewest moves known to reach each stored word
     waiting = {}  # word -> (bound, moves) of states put back one step later
     heap = [(bound, bound, s)]  # (moves + bound, bound, word)
@@ -154,7 +153,7 @@ def exact_distance(pair, max_size: int = DISTANCE_GUARD) -> int:
         held = waiting.pop(word, None)
         if held is None:
             moves = []
-            for i, j, key, made in _rotation_rows(word_scan(word), stride):
+            for i, j, key, made in _rotation_rows(word_scan(word)):
                 if key in goal:
                     continue
                 if made in goal:
@@ -209,9 +208,8 @@ def _moves(views):
     order, S side before T side, nodes by word index; ``target`` is where
     ``_rotated`` moves the node's '1'."""
     for side, (word, scan, _), (_, _, targets) in zip("ST", views, views[::-1]):
-        stride = len(word)
-        for i, j, _, made in _rotation_rows(scan, stride):
-            created = divmod(made, stride)
+        for i, j, _, made in _rotation_rows(scan):
+            created = divmod(made, len(word))
             if created in targets:
                 yield OneOffMove(side, i, Interval(*created)), j
 

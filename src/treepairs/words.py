@@ -13,9 +13,11 @@ whole module is safe for unrestricted concurrent use.  Queries run off one
 right-to-left pass over the word (``word_scan``) that yields parents, subtree
 extents and interval bounds for every node; it alone decides what a word is.
 One kernel (``_rotation_rows``) reads every rotation off a scan: where the
-rotated node's '1' moves, the interval it loses and the one it creates.
-The reduction step in ``rotations`` and the packed difficulty rows in
-``growth`` are both read off it.
+rotated node's '1' moves, the interval it loses and the one it creates,
+each keyed lower * len(word) + upper, the one interval-key frame of the
+package.  The reduction step and the distance search in ``rotations`` and
+the packed difficulty rows and grow images in ``growth`` are all read off
+it.
 """
 
 from __future__ import annotations
@@ -212,20 +214,24 @@ def intervals(word: str, include_root: bool = True) -> frozenset:
     )
 
 
-def _rotation_rows(scan: WordScan, stride: int):
+def _rotation_rows(scan: WordScan):
     """Yield one row (node, target, key, made) per internal, non-root node
     of a scanned word, in word order: the one kernel for rotations.
 
     Rotating the node moves its '1' to index ``target`` (``_rotated`` in
     ``rotations`` rebuilds the word) and swaps its interval, keyed ``key``,
-    for the created interval keyed ``made``; a key is lower * stride + upper,
-    so ``stride`` must exceed every leaf label.  A left child's '1'
-    reappears between its two subtrees and creates the span from its right
-    child to its parent; a right child's reappears in front of its sibling
-    and creates the span from its parent to its left child.
+    for the created interval keyed ``made``.  Every key in the package is
+    lower * len(word) + upper for the scanned word: the length 2k + 1 of a
+    size-k word exceeds its labels 0..k and, for k >= 1, the labels up to
+    k + 1 of every word grown from it, so keys of one size never collide.
+    A left child's '1' reappears between its two subtrees and creates the
+    span from its right child to its parent; a right child's reappears in
+    front of its sibling and creates the span from its parent to its left
+    child.
     """
     parents, ends, lower, upper = scan
-    for i in range(1, len(parents)):
+    stride = len(parents)
+    for i in range(1, stride):
         low, high = lower[i], upper[i]
         if high > low:  # spans two or more leaves: internal
             up = parents[i]
@@ -241,15 +247,11 @@ def one_interval_of(word: str, index: int) -> Interval:
     scan = _require_internal(word, index)
     if index == 0:
         raise NoParentError("the root cannot be rotated")
-    stride = len(word)
-    made = next(made for i, _, _, made in _rotation_rows(scan, stride) if i == index)
-    return Interval(*divmod(made, stride))
+    made = next(made for i, _, _, made in _rotation_rows(scan) if i == index)
+    return Interval(*divmod(made, len(word)))
 
 
 def one_intervals(word: str) -> frozenset:
     """Intervals creatable by a single rotation; one per non-root internal node."""
-    scan = word_scan(word)
-    stride = len(word)
-    rows = _rotation_rows(scan, stride)
-    return frozenset(Interval(*divmod(made, stride)) for _, _, _, made in rows)
-
+    rows = _rotation_rows(word_scan(word))
+    return frozenset(Interval(*divmod(made, len(word))) for _, _, _, made in rows)

@@ -9,7 +9,7 @@ settings.register_profile("pkg", deadline=None)
 settings.load_profile("pkg")
 
 
-def _tree(word):
+def tuple_tree(word):
     """Nested tuples of a tree word: None for a leaf, (left, right) for a
     node.  Parsed here, apart from the package's word scan."""
     stack = []
@@ -41,7 +41,7 @@ def growth_by_substitution(word):
     """The set of words one grow step from ``word``, found by substituting
     into a tuple tree: the oracle for ``growth_neighbors``, sharing no
     ``treepairs`` code with it."""
-    return {_word(grown) for grown in _grown_trees(_tree(str(word)))}
+    return {_word(grown) for grown in _grown_trees(tuple_tree(str(word)))}
 
 
 def scan_by_descent(word):
@@ -93,6 +93,36 @@ def _rotations(tree):
         yield left, rotated
 
 
+def rotations_by_node(word):
+    """{index: (rotated, created)} for every internal non-root node of
+    ``word``: the tuple tree with the node at that word index promoted over
+    its parent, and the one span the rotated tree has that the tree lacks.
+    Indices are counted on the tuple tree, apart from the package's scan."""
+    tree = tuple_tree(str(word))
+    spans = _spans(tree)[0]
+    rotated = {}
+
+    def walk(sub, at, put):
+        # put(x) is the whole tree with x in place of ``sub``, which starts
+        # at word index ``at``; returns where ``sub`` ends
+        if sub is None:
+            return at + 1
+        left, right = sub
+        mid = walk(left, at + 1, lambda x: put((x, right)))
+        if left is not None:
+            rotated[at + 1] = put((left[0], (left[1], right)))
+        if right is not None:
+            rotated[mid] = put(((left, right[0]), right[1]))
+        return walk(right, mid, lambda x: put((left, x)))
+
+    walk(tree, 0, lambda x: x)
+    found = {}
+    for i, new in rotated.items():
+        (created,) = _spans(new)[0] - spans
+        found[i] = new, created
+    return found
+
+
 @lru_cache(maxsize=None)
 def _neighbor_trees(tree):
     return tuple(_rotations(tree))
@@ -103,7 +133,7 @@ def bfs_distance(s, t):
     bidirectional breadth-first search over tuple trees, always growing the
     smaller frontier: the oracle for ``exact_distance`` and the reduction
     rules, sharing no bound, pruning rule or ``treepairs`` code with them."""
-    a, b = _tree(str(s)), _tree(str(t))
+    a, b = tuple_tree(str(s)), tuple_tree(str(t))
     if a == b:
         return 0
     dist_a, dist_b = {a: 0}, {b: 0}
@@ -137,13 +167,9 @@ def interval_sets(word):
     intervals its rotations create, as sets of (lower, upper) tuples.  Each
     created interval is the one span a rotated tuple tree has that the tree
     lacks; no ``treepairs`` interval code runs here."""
-    tree = _tree(word)
-    spans, high = _spans(tree)
-    created = set()
-    for rotated in _rotations(tree):
-        (new,) = _spans(rotated)[0] - spans
-        created.add(new)
-    return frozenset(spans - {(0, high)}), frozenset(created)
+    spans, high = _spans(tuple_tree(word))
+    created = frozenset(made for _, made in rotations_by_node(word).values())
+    return frozenset(spans - {(0, high)}), created
 
 
 def difficult_by_recomputation(s, t):

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 import treepairs
-from conftest import bfs_distance, difficult_by_recomputation, replay_reduce, tree_pairs, tree_words
+from conftest import (
+    bfs_distance,
+    difficult_by_recomputation,
+    interval_sets,
+    replay_reduce,
+    rotations_by_node,
+    tree_pairs,
+    tree_words,
+    tuple_tree,
+)
 from treepairs import (
     MalformedWordError,
     NoParentError,
@@ -132,6 +141,15 @@ class TestRotate:
         assert rotation_neighbors("11000") == {"10100"}
         assert rotation_neighbors("1100100") == {"1010100", "1110000"}
 
+    @given(tree_words(min_size=0, max_size=25))
+    def test_rotations_match_the_tuple_tree_oracle(self, word):
+        by_node = rotations_by_node(word)
+        assert {tuple_tree(w) for w in rotation_neighbors(word)} == {
+            tree for tree, _ in by_node.values()
+        }
+        for i, (tree, _) in by_node.items():
+            assert tuple_tree(rotate(word, i)) == tree
+
     @given(tree_words(min_size=2, max_size=15))
     def test_neighbor_count_is_size_minus_one(self, word):
         assert len(rotation_neighbors(word)) == word.size - 1
@@ -233,6 +251,19 @@ class TestPairPredicates:
 
     def test_one_off_pair_not_difficult(self):
         assert not is_difficult(("11000", "10100"))
+
+    @given(tree_pairs(min_size=1, max_size=20))
+    def test_common_intervals_and_one_off_moves_match_the_tuple_tree_oracle(self, pair):
+        s, t = pair
+        s_has, t_has = interval_sets(s)[0], interval_sets(t)[0]
+        assert common_intervals(pair) == s_has & t_has
+        expected = [
+            (side, i, made)
+            for side, word, other in (("S", s, t_has), ("T", t, s_has))
+            for i, (_, made) in sorted(rotations_by_node(word).items())
+            if made in other
+        ]
+        assert [tuple(move) for move in one_off_moves(pair)] == expected
 
     @given(tree_pairs(max_size=9))
     def test_difficulty_is_symmetric(self, pair):

@@ -30,9 +30,8 @@ from treepairs import (
     sample_difficult_pair,
     sample_with_choice_counts,
 )
-from treepairs.growth import _difficult_pairs, _grown, _interval_masks, _near_miss_masks, _pairs
+from treepairs.growth import _difficult_pairs, _grown, _near_miss_masks, _packed_row, _pairs
 from treepairs.sampling import _STARTS, MIN_SIZE, _difficult_grown_pairs, _grown_row, _GrownPairs
-from treepairs.words import word_scan
 
 
 def _mask_to_set(mask, stride):
@@ -46,21 +45,16 @@ def _mask_to_set(mask, stride):
     return found
 
 
-@given(tree_words(max_size=25), st.integers(0, 3))
-def test_masks_agree_with_interval_sets(word, pad):
-    stride = word.size + 2 + pad
-    has, makes = _interval_masks(word_scan(word), stride)
+@given(tree_words(max_size=25))
+def test_masks_agree_with_interval_sets(word):
+    _, has, makes = _packed_row(word)
     spans, created = interval_sets(word)
-    assert (_mask_to_set(has, stride), _mask_to_set(makes, stride)) == (spans, created)
+    assert (_mask_to_set(has, len(word)), _mask_to_set(makes, len(word))) == (spans, created)
 
 
 def _packed_choices(s, t):
-    # rows built from scratch: the grown words have labels up to k + 1
-    stride = len(s) // 2 + 2
-    rows = (
-        [(g, *_interval_masks(word_scan(g), stride)) for g in sorted(growth_neighbors(w))]
-        for w in (s, t)
-    )
+    # rows built from scratch, each in its grown word's own frame
+    rows = ([_packed_row(g) for g in sorted(growth_neighbors(w))] for w in (s, t))
     return _difficult_pairs(*rows)
 
 
@@ -95,6 +89,15 @@ def test_near_miss_step_equals_packed_rows_along_seeded_chains(seed):
 def test_near_miss_step_equals_packed_rows_on_any_pair(pair):
     # exact for every pair of one size, difficult or not
     assert _near_miss_pairs(*pair) == _packed_choices(*pair)
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_near_miss_step_equals_packed_rows_on_every_pair_of_small_sizes(k):
+    # the frame's tightest margin: at k = 1 the stride 3 holds grown labels up to 2
+    words = enumerate_trees(k)
+    for s in words:
+        for t in words:
+            assert _near_miss_pairs(s, t) == _packed_choices(s, t), (s, t)
 
 
 @pytest.mark.parametrize("k", [8, 12, 20, 40])
@@ -164,6 +167,35 @@ def test_exact_distribution_against_uniform(n, tvd, max_min):
     assert set(masses) == set(map(tuple, census))
     uniform = Fraction(1, len(census))
     assert sum(abs(p - uniform) for p in masses.values()) / 2 == tvd
+    assert max(masses.values()) / min(masses.values()) == max_min
+
+
+@pytest.mark.parametrize(
+    "n, tvd, max_min",
+    [
+        (
+            7,
+            Fraction(1601821439297496533, 5828292427417574400),
+            Fraction(2071475667, 41257216),
+        ),
+        (
+            8,
+            Fraction(
+                411327385408760109168264179191538639,
+                1207550134050175840172935525622784000,
+            ),
+            Fraction(32944563005268087000209, 83184584513095296000),
+        ),
+    ],
+)
+def test_exact_distribution_over_the_whole_census(n, tvd, max_min):
+    # from n = 7 on some difficult pairs are never drawn: they weigh 0 here
+    masses = _exact_distribution(n)
+    census = set(map(tuple, enumerate_difficult_pairs(n)))
+    assert sum(masses.values()) == 1
+    assert set(masses) < census
+    uniform = Fraction(1, len(census))
+    assert sum(abs(masses.get(pair, 0) - uniform) for pair in census) / 2 == tvd
     assert max(masses.values()) / min(masses.values()) == max_min
 
 

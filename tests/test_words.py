@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given
 
-from conftest import scan_by_descent, tree_words
+from conftest import interval_sets, rotations_by_node, scan_by_descent, tree_words
 from treepairs import (
     Interval,
     MalformedWordError,
@@ -60,6 +60,17 @@ def test_parse_accepts_exactly_the_enumerated_words():
 @given(tree_words(min_size=0, max_size=30))
 def test_scan_matches_a_recursive_descent_parse(word):
     assert word_scan(word) == scan_by_descent(word)
+
+
+@given(tree_words(min_size=0, max_size=25))
+def test_interval_queries_match_the_tuple_tree_oracle(word):
+    spans, created = interval_sets(word)
+    by_node = rotations_by_node(word)
+    assert intervals(word, include_root=False) == spans
+    assert one_intervals(word) == created
+    assert {i: one_interval_of(word, i) for i in by_node} == {
+        i: made for i, (_, made) in by_node.items()
+    }
 
 
 class TestNavigation:
