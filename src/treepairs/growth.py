@@ -41,11 +41,12 @@ platform.  Share nothing else: one generator per thread.
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import or_
 
-from .errors import MalformedWordError, NotInternalError
+from .errors import MalformedWordError, NotInternalError, TreePairError
 from .words import TreeWord, word_scan
 from .words import _require_count, _require_node, _rotation_rows
 
@@ -378,6 +379,8 @@ def remy_sample(n: int, rng) -> TreeWord:
     random from ``rng``, which makes every size-n tree equally likely.
     """
     _require_count(n, "size")
+    if not isinstance(rng, random.Random):
+        raise TreePairError(f"rng must be a random.Random, not {rng!r}")
     word = "0"
     for k in range(n):
         site = rng.randrange(2 * k + 1)

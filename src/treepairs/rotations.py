@@ -123,12 +123,16 @@ def exact_distance(pair, max_size: int = DISTANCE_GUARD) -> int:
     interval T has is never rotated, since the distance is additive over a
     common interval, and a move creating an interval of T is played alone,
     since it starts some shortest path.  A state with no such move wastes its
-    first move, so it goes back on the heap one step later and its moved
-    words are built only when it comes off again.  All search state belongs
-    to the call.  The guard caps the pair size, ``STATE_BUDGET`` the states
-    one search stores; beyond either the search raises
-    ``SizeGuardExceededError``.  Raise the guard explicitly for bigger
-    one-off queries.
+    first move, so it goes back on the heap one step later, its moves held in
+    its entry, and its moved words are built only when it comes off again.
+    A word's first push is final: no allowed move raises the bound (a forced
+    move gains an interval of T, any other swaps two that T lacks), so a word
+    is pushed at the level, moves + bound, of the pop that pushes it; levels
+    come off the heap in order, so its first push has its fewest moves, and
+    the search pushes each word once.  All search state belongs to the call.
+    The guard caps the pair size, ``STATE_BUDGET`` the states one search
+    stores; beyond either the search raises ``SizeGuardExceededError``.
+    Raise the guard explicitly for bigger one-off queries.
     """
     (s, s_scan, _), (t, t_scan, _) = _pair_views(pair)
     n = len(s) // 2
@@ -138,44 +142,36 @@ def exact_distance(pair, max_size: int = DISTANCE_GUARD) -> int:
         return 0
     goal = {key for _, _, key, _ in _rotation_rows(t_scan)}
     bound = len(goal - {key for _, _, key, _ in _rotation_rows(s_scan)})
-    best = {s: 0}  # fewest moves known to reach each stored word
-    waiting = {}  # word -> (bound, moves) of states put back one step later
-    heap = [(bound, bound, s)]  # (moves + bound, bound, word)
+    seen = {s}  # every word pushed, each once, at its fewest moves
+    heap = [(bound, bound, s, ())]  # (moves + bound, bound, word, parked moves)
     while heap:
-        if len(best) > STATE_BUDGET:
+        if len(seen) > STATE_BUDGET:
             raise SizeGuardExceededError(
-                f"the search stored {len(best)} states, over its budget of {STATE_BUDGET}"
+                f"the search stored {len(seen)} states, over its budget of {STATE_BUDGET}"
             )
-        f, h, word = heappop(heap)
-        g = f - h
-        if best[word] < g:
+        f, h, word, parked = heappop(heap)
+        if parked:  # put back one step on, so its moved words' bound is h - 1
+            for i, j in parked:
+                child = _rotated(word, i, j)
+                if child not in seen:
+                    seen.add(child)
+                    heappush(heap, (f, h - 1, child, ()))
             continue
-        held = waiting.pop(word, None)
-        if held is None:
-            moves = []
-            for i, j, key, made in _rotation_rows(word_scan(word)):
-                if key in goal:
-                    continue
-                if made in goal:
-                    child = _rotated(word, i, j)
-                    if child == t:
-                        return g + 1
-                    if g + 1 < best.get(child, g + 2):
-                        best[child] = g + 1
-                        heappush(heap, (f, h - 1, child))
-                    break
-                moves.append((i, j))
-            else:
-                waiting[word] = h, moves
-                heappush(heap, (f + 1, h + 1, word))
-            continue
-        h, moves = held
-        f = g + 1 + h
-        for i, j in moves:
-            child = _rotated(word, i, j)
-            if g + 1 < best.get(child, g + 2):
-                best[child] = g + 1
-                heappush(heap, (f, h, child))
+        moves = []
+        for i, j, key, made in _rotation_rows(word_scan(word)):
+            if key in goal:
+                continue
+            if made in goal:
+                child = _rotated(word, i, j)
+                if child == t:
+                    return f - h + 1
+                if child not in seen:
+                    seen.add(child)
+                    heappush(heap, (f, h - 1, child, ()))
+                break
+            moves.append((i, j))
+        else:  # never empty: a word with every non-root interval of T is T
+            heappush(heap, (f + 1, h + 1, word, tuple(moves)))
     raise RuntimeError("the search ran out of states before reaching T; a pruning rule is broken")
 
 

@@ -40,7 +40,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .census import PAIR_GUARD, primitive_pairs
-from .errors import NotDifficultError
+from .errors import NotDifficultError, TreePairError
 from .growth import _difficult_pairs, _grow_sites, _grown, _near_miss_masks, _packed_row, _pairs
 from .rotations import TreePair, is_difficult
 from .words import TreeWord, _require_count, word_scan
@@ -130,6 +130,8 @@ def pair_choices(pair) -> list:
 
 def _sample(n, rng):
     _require_count(n, "size", MIN_SIZE)
+    if not isinstance(rng, random.Random):
+        raise TreePairError(f"rng must be a random.Random, not {rng!r}")
     s, t = _STARTS[rng.randrange(len(_STARTS))]
     counts = []
     for _ in range(n - MIN_SIZE):

@@ -67,6 +67,66 @@ def scan_by_descent(word):
     return tuple(parents), tuple(ends), tuple(lowers), tuple(uppers)
 
 
+def nodes_by_index(word):
+    """[(interval, parent, left, right, end)] per word index of ``word``,
+    read off a pre-order walk of its tuple tree, apart from the package's
+    scan: ``parent`` is None at the root, ``left`` and ``right`` are None at
+    a leaf, and ``end`` is the exclusive end of the node's subtree slice."""
+    nodes = []
+
+    def walk(sub, up, low):
+        # fills the rows of ``sub``, whose first leaf is ``low``; returns its
+        # highest leaf label
+        at = len(nodes)
+        nodes.append(None)
+        if sub is None:
+            nodes[at] = (low, low), up, None, None, at + 1
+            return low
+        mid = walk(sub[0], at, low)
+        right = len(nodes)
+        high = walk(sub[1], at, mid + 1)
+        nodes[at] = (low, high), up, at + 1, right, len(nodes)
+        return high
+
+    walk(tuple_tree(str(word)), None, 0)
+    return nodes
+
+
+def anchor_by_spine(word):
+    """(anchor, suffix, grown, embedding) of a tree word of size >= 1: the
+    word index of the lowest node on the right spine of its tuple tree,
+    that node's subtree word, the word grown left there, and each node's
+    index in the grown word.  Every node is tagged with its word index, so
+    the embedding is read off a pre-order walk of the grown tagged tree."""
+
+    def tag(sub, at):
+        # (tagged, end): (index,) for a leaf, (index, left, right) for a node
+        if sub is None:
+            return (at,), at + 1
+        left, mid = tag(sub[0], at + 1)
+        right, end = tag(sub[1], mid)
+        return (at, left, right), end
+
+    def grow(sub):
+        # (anchor, grown): the new node and leaf are tagged None
+        if len(sub[2]) == 1:
+            return sub, (None, sub, (None,))
+        anchor, right = grow(sub[2])
+        return anchor, (sub[0], sub[1], right)
+
+    def walk(sub):
+        yield sub
+        for child in sub[1:]:
+            yield from walk(child)
+
+    def text(sub):
+        return "".join("1" if len(node) == 3 else "0" for node in walk(sub))
+
+    anchor, grown = grow(tag(tuple_tree(str(word)), 0)[0])
+    tags = [node[0] for node in walk(grown)]
+    return anchor[0], text(anchor), text(grown), [tags.index(i) for i in range(len(word))]
+
+
 def _spans(tree, low=0):
     """(spans, high): the (lowest, highest) leaf labels of every node of a
     tuple tree whose first leaf is ``low``, and its highest label."""

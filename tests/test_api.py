@@ -119,6 +119,10 @@ BAD_CALLS = [
     (coverage_report, (5, -3, RNG), SizeTooSmallError),
     (coverage_report, (5, "3", RNG), SizeTooSmallError),
     (coverage_report, (5, True, RNG), SizeTooSmallError),
+    (sample_difficult_pair, (6, 3), TreePairError),
+    (remy_sample, (5, None), TreePairError),
+    (coverage_report, (6, 3, None), TreePairError),
+    (reduction_profile, (5, 2, None), TreePairError),
 ]
 
 

@@ -161,6 +161,7 @@ class TestSample:
         [
             ["sample", "--size", "5", "--count", "-2"],
             ["sample", "--size", "0"],
+            ["sample", "--size", "ten"],
             ["coverage", "--size", "5", "--samples", "0"],
         ],
     )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 import treepairs
-from conftest import growth_by_substitution, tree_words
+from conftest import anchor_by_spine, growth_by_substitution, tree_words
 from treepairs import (
     MalformedWordError,
     NotInternalError,
@@ -142,6 +142,14 @@ class TestAnchor:
         assert anchor_embedding("10100", 0) == 0
         assert anchor_embedding("10100", 2) == 3
         assert anchor_embedding("10100", 4) == 5
+
+    @given(tree_words(max_size=30))
+    def test_anchor_queries_match_the_tuple_tree_oracle(self, word):
+        anchor, suffix, grown, embedding = anchor_by_spine(word)
+        assert anchor_index(word) == anchor
+        assert spine_split(word) == (word[: len(word) - len(suffix)], suffix)
+        assert anchor_growth(word) == grown
+        assert [anchor_embedding(word, i) for i in range(len(word))] == embedding
 
     @given(tree_words(max_size=30))
     def test_anchor_right_child_is_last_leaf(self, word):

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given
 
-from conftest import interval_sets, rotations_by_node, scan_by_descent, tree_words
+from conftest import interval_sets, nodes_by_index, rotations_by_node, scan_by_descent, tree_words
 from treepairs import (
     Interval,
     MalformedWordError,
@@ -71,6 +71,25 @@ def test_interval_queries_match_the_tuple_tree_oracle(word):
     assert {i: one_interval_of(word, i) for i in by_node} == {
         i: made for i, (_, made) in by_node.items()
     }
+
+
+@given(tree_words(min_size=0, max_size=25))
+def test_node_queries_match_the_tuple_tree_oracle(word):
+    for i, (span, up, left, right, end) in enumerate(nodes_by_index(word)):
+        assert interval_of(word, i) == span
+        assert subtree_end(word, i) == end
+        assert is_internal(word, i) == (left is not None)
+        if up is None:
+            with pytest.raises(NoParentError):
+                parent(word, i)
+        else:
+            assert parent(word, i) == up
+        if left is None:
+            for child in (left_child, right_child):
+                with pytest.raises(NotInternalError):
+                    child(word, i)
+        else:
+            assert (left_child(word, i), right_child(word, i)) == (left, right)
 
 
 class TestNavigation:
