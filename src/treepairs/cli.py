@@ -183,7 +183,11 @@ def _build_parser():
         "--seed", type=int, default=DEFAULT_SEED, help=f"(default: {DEFAULT_SEED})"
     )
     p.add_argument("--json", action="store_true", help="emit a JSON document")
-    p.add_argument("--frequencies", action="store_true", help="include per-pair counts")
+    p.add_argument(
+        "--frequencies",
+        action="store_true",
+        help="add per-pair counts to the text output (--json always carries them)",
+    )
     p.set_defaults(func=_cmd_coverage)
 
     return parser

@@ -29,10 +29,13 @@ step, ``_near_miss_masks``, builds no row and lists no pair: it gives per
 grown U of one parent the mask of the grown V of the other that U makes a
 difficult pair with, and grow sites in place of words, so the sampler
 counts the pairs and builds only the one it draws.  ``_grow_classes``
-places every interval of a parent in all of its grown words at once, as
-runs of grow sites, and ``_grow_images`` turns that into masks of grown
-words per interval.  ``_grow_classes`` is the one place that says where a
-grow step moves an interval.
+places an interval of a parent in all of its grown words at once, as heads
+and tails of the site orders and whole subtrees of grow sites.  The step
+first lists every key the first parent will look up, and
+``_grow_images`` places only the intervals of the second parent with an
+image on that list and turns them into masks of grown words per key.
+``_grow_classes`` is the one place that says where a grow step moves an
+interval.
 
 Randomness is always taken from a caller-owned ``random.Random`` instance
 (Mersenne Twister), so identical seeds reproduce identical trees on every
@@ -42,7 +45,6 @@ platform.  Share nothing else: one generator per thread.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import or_
 
@@ -157,114 +159,134 @@ def _grow_classes(word: str) -> tuple:
     [l, h + 1] (*step*) or to [l + 1, h + 1] (*move*).  Growing right: stay
     if h < a, step if l < a <= h or (l = a and h > b), else move.  Growing
     left: move if l > b, step if l <= b < h or (h = b and l < a), else stay.
-    So over the right sites sorted by (a, -b), which is word order, an
-    interval's moves come first, its steps next and its stays last, and so
-    they do over the left sites sorted by (b, -a): two cuts in each order
-    place the interval in every grown word.  The one exception is a node's
-    created interval, which is gone at the node's own sites.
+    So over the right sites in word order, sorted by (a, -b), an interval's
+    moves come first, its steps next and its stays last, and so they do
+    over the left sites in post order, sorted by (b, -a).  Every site sits
+    at a node, so the classes fall at node positions.  For the interval of
+    node j the steps are the sites in the subtrees of j's two children,
+    the moves those before them in each order and the stays those after.
+    The interval a node creates spans the subtrees of a child of its
+    parent and of a child of its own, and it is gone at the node's own
+    sites.  Its steps are the sites in those two subtrees, and the
+    subtree of the node's other child joins its moves or its stays.  So
+    each class is a head of each order, a tail of each order or neither,
+    plus at most two whole subtrees, and nothing is walked site by site.
 
-    Returns (scan, sites, rights, lefts, added, place), keys being
+    Returns (scan, sites, rights, lefts, post, added, place), keys being
     lower * len(word) + upper as ``_rotation_rows`` keys them:
     - ``sites``: the ``_grow_sites`` of ``word``, row r growing at
       ``sites[r]``;
-    - ``rights``, ``lefts``: the rows of the right and left sites in those
-      orders;
-    - ``added``: (row, key, created) for each interval the step itself
-      adds, keyed in the same frame, which holds the grown word's labels
-      up to k + 1: the new node's interval (at the root, the old root's
-      span), its created interval and the grown node's new created
-      interval;
-    - ``place(key, node)``: (right moves end, right steps end, left moves
-      end, left steps end, right own, left own) for a non-root interval
-      (node -1) or the interval the node creates, where own is the
-      position of the node's site in that order, -1 for none.
+    - ``rights``, ``lefts``: the row of the right and left site at each
+      position of word order and post order, -1 for none;
+    - ``post``: the post-order position of each node, which follows its
+      subtree's;
+    - ``added``: three lists of keys by row, -1 for none, of the intervals
+      the step itself adds, keyed in the same frame, which holds the grown
+      word's labels up to k + 1: the new node's interval (at the root, the
+      old root's span), its created interval and the grown node's new
+      created interval;
+    - ``place(node, created)``: (right moves end, left moves end, right
+      stays start, left stays start, move roots, step roots, stay roots)
+      for the node's interval or, with ``created``, the interval it
+      creates; a class holds the sites in the subtrees of its roots, the
+      moves a head of each order and the stays a tail.
     """
     parent, ends, lower, upper = scan = word_scan(word)
     size = len(word)
     k = size // 2
+    depth = [0] * size
+    for x in range(1, size):
+        depth[x] = depth[parent[x]] + 1
+    post = [end - 1 - d for end, d in zip(ends, depth)]
+    rights, lefts = [-1] * size, [-1] * size
     sites = _grow_sites(word, ends)
-    right_row, left_row = [-1] * size, [-1] * size
-    added = []
+    spans, news, grown = added = [], [], []
     for row, (i, _, right) in enumerate(sites):
         a, b = lower[i], upper[i]
-        internal = word[i] == "1"
         if right:
-            right_row[i] = row
+            rights[i] = row
         else:
-            left_row[i] = row
+            lefts[post[i]] = row
         if i:
             p = parent[i]
-            added.append((row, a * size + b + 1, False))
+            spans.append(a * size + b + 1)
             if i == p + 1:
-                added.append((row, (a + 1 if right else b + 1) * size + upper[p] + 1, True))
+                news.append((a + 1 if right else b + 1) * size + upper[p] + 1)
             else:
-                added.append((row, lower[p] * size + (a if right else b), True))
-        elif internal:
-            added.append((row, size + k + 1 if right else k, False))
-        if internal:
-            if right:
-                added.append((row, a * size + upper[i + 1] + 1, True))
-            else:
-                added.append((row, lower[ends[i + 1]] * size + b + 1, True))
-    rights, right_keys, right_at = [], [], [-1] * size
-    for i, row in enumerate(right_row):
-        if row >= 0:
-            right_at[i] = len(rights)
-            rights.append(row)
-            right_keys.append(lower[i] * size - upper[i])
-    post = [upper[i] * size - lower[i] for i in range(size)]
-    lefts, left_keys, left_at = [], [], [-1] * size
-    for i in sorted(range(size), key=post.__getitem__):
-        row = left_row[i]
-        if row >= 0:
-            left_at[i] = len(lefts)
-            lefts.append(row)
-            left_keys.append(post[i])
+                news.append(lower[p] * size + (a if right else b))
+        else:
+            spans.append(-1 if not k else size + k + 1 if right else k)
+            news.append(-1)
+        if b == a:
+            grown.append(-1)
+        elif right:
+            grown.append(a * size + upper[i + 1] + 1)
+        else:
+            grown.append(lower[ends[i + 1]] * size + b + 1)
 
-    def place(key, node):
-        low, high = divmod(key, size)
-        return (
-            bisect_right(right_keys, low * size - high),
-            bisect_right(right_keys, high * size),
-            bisect_right(left_keys, (low - 1) * size),
-            bisect_left(left_keys, high * size - low),
-            right_at[node] if node >= 0 else -1,
-            left_at[node] if node >= 0 else -1,
-        )
+    def place(node, created):
+        right = ends[node + 1]  # the node's right child
+        if not created:
+            return node + 1, node - depth[node], ends[node], post[node], (), (node + 1, right), ()
+        up = parent[node]
+        if node == up + 1:  # spans its right subtree and its parent's
+            return node, node - depth[node], ends[up], post[up], (node + 1,), (right, ends[node]), ()
+        # spans its parent's left subtree and its own
+        return up + 1, up - depth[up], ends[node], post[node] + 1, (), (up + 1, node + 1), (right,)
 
-    return scan, sites, rights, lefts, added, place
+    return scan, sites, rights, lefts, post, added, place
 
 
-def _grow_images(word: str) -> tuple:
+def _grow_images(word: str, wanted) -> tuple:
     """(sites, has, makes): the grow sites of ``word`` in row order, as in
     ``_grow_classes``, and maps from interval key to the mask of the rows
     whose word has that non-root interval (``has``) or creates it
-    (``makes``)."""
-    scan, sites, rights, lefts, added, place = _grow_classes(word)
+    (``makes``).  The maps hold only the keys in ``wanted``, and an
+    interval is placed only when one of its images is wanted."""
+    scan, sites, rights, lefts, post, added, place = _grow_classes(word)
+    ends = scan.subtree_end
     has, makes = {}, {}
-    for row, key, created in added:
-        table = makes if created else has
-        table[key] = table.get(key, 0) | 1 << row
-    right_firsts = list(accumulate((1 << row for row in rights), or_, initial=0))
-    left_firsts = list(accumulate((1 << row for row in lefts), or_, initial=0))
-    every = right_firsts[-1] | left_firsts[-1]
+    for keys, table in zip(added, (has, makes, makes)):
+        for row, key in enumerate(keys):
+            if key in wanted:
+                table[key] = table.get(key, 0) | 1 << row
+    right_firsts, left_firsts = (
+        list(accumulate((1 << row if row >= 0 else 0 for row in order), or_, initial=0))
+        for order in (rights, lefts)
+    )
     lift = len(word) + 1
-    for i, _, has_key, made_key in _rotation_rows(scan):
-        for key, node, table in ((has_key, -1, has), (made_key, i, makes)):
-            rm, rs, lm, ls, ro, lo = place(key, node)
-            moves = right_firsts[rm] | left_firsts[lm]
-            moves_and_steps = right_firsts[rs] | left_firsts[ls]
-            keep = ~((1 << rights[ro] if ro >= 0 else 0) | (1 << lefts[lo] if lo >= 0 else 0))
-            rows = (every ^ moves_and_steps) & keep
-            if rows:
-                table[key] = table.get(key, 0) | rows
-            rows = (moves_and_steps ^ moves) & keep
-            if rows:
-                table[key + 1] = table.get(key + 1, 0) | rows
-            rows = moves & keep
-            if rows:
-                table[key + lift] = table.get(key + lift, 0) | rows
+
+    def write(key, node, created, table):
+        rm, lm, rs, ls, move_roots, step_roots, stay_roots = place(node, created)
+        stays = (right_firsts[-1] ^ right_firsts[rs]) | (left_firsts[-1] ^ left_firsts[ls])
+        moves = right_firsts[rm] | left_firsts[lm]
+        for image, found, roots in (
+            (key, stays, stay_roots),
+            (key + 1, 0, step_roots),
+            (key + lift, moves, move_roots),
+        ):
+            if image in wanted:
+                for x in roots:  # x's subtree: [x, ends[x]) in word order, ending at post[x]
+                    at = post[x] + 1
+                    found |= right_firsts[ends[x]] ^ right_firsts[x]
+                    found |= left_firsts[at] ^ left_firsts[at + x - ends[x]]
+                if found:
+                    table[image] = table.get(image, 0) | found
+
+    for i, _, key, made in _rotation_rows(scan):
+        if key in wanted or key + 1 in wanted or key + lift in wanted:
+            write(key, i, False, has)
+        if made in wanted or made + 1 in wanted or made + lift in wanted:
+            write(made, i, True, makes)
     return sites, has, makes
+
+
+def _spread(heads, tails) -> list:
+    """Per position p of an order, the OR of heads[j] for j > p and of
+    tails[j] for j <= p: heads[j] marks the positions before j, tails[j]
+    those from j on."""
+    later = list(accumulate(reversed(heads), or_))[-2::-1]
+    return [cols | more for cols, more in zip(later, accumulate(tails, or_))]
 
 
 def _near_miss_masks(s: str, t: str) -> tuple:
@@ -281,72 +303,70 @@ def _near_miss_masks(s: str, t: str) -> tuple:
     both, or one has an interval the other creates; U = V shares every
     interval, so no word compare is needed.
     Every such interval is an image of an interval or created interval of
-    the parent, placed by ``_grow_classes``, or one the step adds, so each
-    image of s looks up the V rows it conflicts with in t's maps
-    (``_grow_images``).  When (s, t) is difficult, an interval I of s and J
-    of t meet only as near misses: J - I is (0, 1), (0, -1), (1, 1),
-    (-1, -1), (1, 0) or (-1, 0), I and J in different classes, so few
-    lookups hit, and only an interval whose images hit is placed.
+    the parent, placed by ``_grow_classes``, or one the step adds.  So s
+    first lists the keys it will look up: each image of its intervals and
+    created intervals and each key its steps add.  t's maps
+    (``_grow_images``) hold those keys only, and s looks each up there.
+    When (s, t) is difficult, an interval I of s and J of t meet only as
+    near misses: J - I is (0, 1), (0, -1), (1, 1), (-1, -1), (1, 0) or
+    (-1, 0), I and J in different classes, so few lookups hit.  On both
+    sides only an interval whose images hit is placed.
 
-    The U rows of one class of an interval of s are a run in each site
-    order.  A run at the start or the end of an order is marked once at its
-    cut, and a sweep over each order at the end spreads the marks; only
-    runs inside an order, and the pieces a node's own sites leave, are
-    walked row by row.  Each U row's conflict mask then leaves its free V
-    rows.
+    A hit ORs the V rows it conflicts with into the U rows of one class:
+    a mark at the cut of a head or a tail of each order, and one at the
+    root of each whole subtree.  At the end one sweep over each order
+    spreads the head and tail marks, and one walk down the tree the
+    subtree marks, so no run is walked row by row.  Each U row's conflict
+    mask then leaves its free V rows.
     """
     lift = len(s) + 1
-    scan, us, rights, lefts, added, place = _grow_classes(s)
-    vs, has, makes = _grow_images(t)
-    blocked = [0] * len(us)
-    for row, key, created in added:
-        blocked[row] |= has.get(key, 0) if created else has.get(key, 0) | makes.get(key, 0)
-    right_heads, right_tails = [0] * (len(rights) + 1), [0] * (len(rights) + 1)
-    left_heads, left_tails = [0] * (len(lefts) + 1), [0] * (len(lefts) + 1)
+    scan, us, rights, lefts, post, added, place = _grow_classes(s)
+    rotations = list(_rotation_rows(scan))
+    wanted = set().union(*added)
+    wanted.discard(-1)
+    for _, _, key, made in rotations:
+        wanted.update((key, key + 1, key + lift, made, made + 1, made + lift))
+    vs, has, makes = _grow_images(t, wanted)
+    either = has.keys() | makes.keys()
+    blocked = [0] * (len(us) + 1)  # the last slot takes the marks of positions without a site
+    spans, news, grown = added
+    for row, key in enumerate(spans):
+        if key in either:
+            blocked[row] |= has.get(key, 0) | makes.get(key, 0)
+    for keys in (news, grown):  # a created interval conflicts only with one V has
+        for row, key in enumerate(keys):
+            if key in has:
+                blocked[row] |= has[key]
+    size = len(s)
+    right_heads, right_tails, left_heads, left_tails = ([0] * (size + 1) for _ in range(4))
+    under = [0] * (size + 1)  # under[x] covers x's subtree; the last slot is the root's parent
 
-    def cover(order, heads, tails, start, stop, own, cols):
-        # heads[j] covers the first j sites of the order, tails[j] site j on
-        if start <= own < stop:
-            cover(order, heads, tails, start, own, -1, cols)
-            start = own + 1
-        if start >= stop:
-            return
-        if not start:
-            heads[stop] |= cols
-        elif stop == len(order):
-            tails[start] |= cols
-        else:
-            for at in range(start, stop):
-                blocked[order[at]] |= cols
+    def mark(node, created, stay, step, move):
+        rm, lm, rs, ls, move_roots, step_roots, stay_roots = place(node, created)
+        if move:
+            right_heads[rm] |= move
+            left_heads[lm] |= move
+        if stay:
+            right_tails[rs] |= stay
+            left_tails[ls] |= stay
+        for cols, roots in ((move, move_roots), (step, step_roots), (stay, stay_roots)):
+            if cols:
+                for x in roots:
+                    under[x] |= cols
 
-    for i, _, has_key, made_key in _rotation_rows(scan):
-        for key, node in ((has_key, -1), (made_key, i)):
-            if node < 0:
-                stay = has.get(key, 0) | makes.get(key, 0)
-                step = has.get(key + 1, 0) | makes.get(key + 1, 0)
-                move = has.get(key + lift, 0) | makes.get(key + lift, 0)
-            else:
-                stay, step, move = has.get(key, 0), has.get(key + 1, 0), has.get(key + lift, 0)
-            if not (stay or step or move):
-                continue
-            rm, rs, lm, ls, ro, lo = place(key, node)
-            for cols, right_run, left_run in (
-                (stay, (rs, len(rights)), (ls, len(lefts))),
-                (step, (rm, rs), (lm, ls)),
-                (move, (0, rm), (0, lm)),
-            ):
-                if cols:
-                    cover(rights, right_heads, right_tails, *right_run, ro, cols)
-                    cover(lefts, left_heads, left_tails, *left_run, lo, cols)
-    for order, heads, tails in ((rights, right_heads, right_tails), (lefts, left_heads, left_tails)):
-        run = 0
-        for at in range(len(order) - 1, -1, -1):
-            run |= heads[at + 1]
-            blocked[order[at]] |= run
-        run = 0
-        for at, row in enumerate(order):
-            run |= tails[at]
-            blocked[row] |= run
+    for i, _, key, made in rotations:
+        if key in either or key + 1 in either or key + lift in either:
+            stay = has.get(key, 0) | makes.get(key, 0)
+            step = has.get(key + 1, 0) | makes.get(key + 1, 0)
+            mark(i, False, stay, step, has.get(key + lift, 0) | makes.get(key + lift, 0))
+        if made in has or made + 1 in has or made + lift in has:
+            mark(i, True, has.get(made, 0), has.get(made + 1, 0), has.get(made + lift, 0))
+    right_cols, left_cols = _spread(right_heads, right_tails), _spread(left_heads, left_tails)
+    for x, (up, right_row, at) in enumerate(zip(scan.parent, rights, post)):
+        cols = under[x] = under[x] | under[up]
+        blocked[right_row] |= cols | right_cols[x]
+        blocked[lefts[at]] |= cols | left_cols[at]
+    blocked.pop()
     every = (1 << len(vs)) - 1
     return us, vs, [every & ~conflicts for conflicts in blocked]
 

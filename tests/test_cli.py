@@ -177,6 +177,17 @@ class TestSample:
         assert info.value.code == 2
 
 
+class TestCoverage:
+    def test_json_carries_the_frequencies_with_or_without_the_flag(self, capsys):
+        args = ["coverage", "--size", "6", "--samples", "50", "--seed", "0", "--json"]
+        code, plain, _ = run_cli(capsys, *args)
+        assert code == 0
+        code, flagged, _ = run_cli(capsys, *args, "--frequencies")
+        assert code == 0
+        assert flagged == plain
+        assert json.loads(plain)["frequencies"]
+
+
 class TestDeterminism:
     def test_identical_invocations_are_byte_identical(self, capsys):
         args = ["sample", "--size", "12", "--count", "5", "--seed", "7"]

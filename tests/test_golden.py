@@ -24,6 +24,7 @@ from treepairs import (
     remy_sample,
     rotation_neighbors,
     sample_difficult_pair,
+    sample_with_choice_counts,
     split_at_common,
 )
 from treepairs.cli import main
@@ -85,6 +86,13 @@ def _large_choices():
     return _choices_of(sample_difficult_pair(n, random.Random(n)) for n in (40, 64))
 
 
+def _choice_counts():
+    # every step's count drives its draw; these walks run the near-miss step to n = 200
+    return [
+        " ".join(map(str, sample_with_choice_counts(200, random.Random(seed))[1])) for seed in (5, 6)
+    ]
+
+
 def _neighbors():
     lines = []
     for word in _remy_stream()[::7]:
@@ -140,6 +148,7 @@ LIBRARY_DIGESTS = {
     "reduce_pair": (_reductions, "48b153153814d4313cce6b348ef7591fb1debc059373983a0b2023c53d1d734f"),
     "pair_choices": (_choices, "8b73497cd40abe707a19386fb979a79abf69af5b77a8f3a1a67d0ad3ce627be5"),
     "pair_choices_large": (_large_choices, "0a32830fda32b79f2308ff05bcbbe7d0e2f843781027942602efa2e77b5bc52e"),
+    "choice_counts": (_choice_counts, "5654bf83bf32c87cdbd0855dc3791b594078ad0107265ff110c0cecef70100af"),
     "neighbors": (_neighbors, "6d39e13203857e43d46f5a388e5249fd2c4dbc3622afa8020190c3bc03ac41b0"),
     "is_difficult": (_verdicts, "8444846a1eda8fa8b20eaa6811a2b82c3450f1be95b1bba8daeede7e84b9ebaa"),
     "pair_rules": (_pair_rules, "d75372367988d98d8b6d3d3642483921e72246098621b7cb25d75b1cb2c0eff6"),
