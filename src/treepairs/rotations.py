@@ -24,10 +24,12 @@ created interval, which the step cuts at once, since the rotated node sits
 at the move's target.  A pair is difficult when that step finds it neither
 identical nor cut; the packed masks of ``growth`` decide difficulty only in
 batches, for the sampler and the census.  The set-based oracle for both
-lives in the tests.  Every rotation is read off ``_rotation_rows`` and
-rebuilt by ``_rotated``.  ``exact_distance`` is an A* search that prunes
-with the same two lemmas the reduction rules rest on; the tests check both
-against a plain BFS.
+lives in the tests.  Every rotation is rebuilt by ``_rotated`` and, but in
+``exact_distance``, read off ``_rotation_rows``.  ``exact_distance`` is an
+A* search that prunes with the same two lemmas the reduction rules rest on
+and reads each popped word's moves in one pass of its own (``_toward``),
+with no scan; the tests check that pass against ``_rotation_rows`` and the
+search against a plain BFS.
 """
 
 from __future__ import annotations
@@ -129,7 +131,8 @@ def exact_distance(pair, max_size: int = DISTANCE_GUARD) -> int:
     move gains an interval of T, any other swaps two that T lacks), so a word
     is pushed at the level, moves + bound, of the pop that pushes it; levels
     come off the heap in order, so its first push has its fewest moves, and
-    the search pushes each word once.  All search state belongs to the call.
+    the search pushes each word once.  A popped word's moves come from
+    ``_toward``, not a scan.  All search state belongs to the call.
     The guard caps the pair size, ``STATE_BUDGET`` the states one search
     stores; beyond either the search raises ``SizeGuardExceededError``.
     Raise the guard explicitly for bigger one-off queries.
@@ -157,22 +160,51 @@ def exact_distance(pair, max_size: int = DISTANCE_GUARD) -> int:
                     seen.add(child)
                     heappush(heap, (f, h - 1, child, ()))
             continue
-        moves = []
-        for i, j, key, made in _rotation_rows(word_scan(word)):
-            if key in goal:
-                continue
-            if made in goal:
-                child = _rotated(word, i, j)
-                if child == t:
-                    return f - h + 1
-                if child not in seen:
-                    seen.add(child)
-                    heappush(heap, (f, h - 1, child, ()))
-                break
-            moves.append((i, j))
+        forced, moves = _toward(word, goal)
+        if forced:
+            child = _rotated(word, *forced)
+            if child == t:
+                return f - h + 1
+            if child not in seen:
+                seen.add(child)
+                heappush(heap, (f, h - 1, child, ()))
         else:  # never empty: a word with every non-root interval of T is T
             heappush(heap, (f + 1, h + 1, word, tuple(moves)))
     raise RuntimeError("the search ran out of states before reaching T; a pruning rule is broken")
+
+
+def _toward(word: str, goal) -> tuple:
+    """(forced, moves) of a valid ``word`` toward T's interval keys ``goal``,
+    each move a ``_rotation_rows`` (node, target): ``forced`` is the first in
+    word order that keeps no interval of T and creates one, else None, and
+    ``moves`` all that do neither.  The search's own right-to-left pass tests
+    both children of a node as it pops them and builds no ``WordScan``; an
+    entry is (index, lower, upper, left child's upper, right child)."""
+    stride = len(word)
+    forced, moves = None, []
+    label = stride // 2 + 1
+    stack = []
+    for i in range(stride - 1, -1, -1):
+        if word[i] == "0":
+            label -= 1
+            stack.append((i, label, label, 0, 0))
+            continue
+        _, _, left_high, left_mid, left_right = stack.pop()
+        right, right_low, high, right_mid, _ = stack.pop()
+        if left_high > label and label * stride + left_high not in goal:
+            made = (left_mid + 1) * stride + high
+            if made not in goal:
+                moves.append((i + 1, left_right - 1))
+            else:  # every node tested before lies past i + 1
+                forced = i + 1, left_right - 1
+        if high > right_low and right_low * stride + high not in goal:
+            made = label * stride + right_mid
+            if made not in goal:
+                moves.append((right, i + 1))
+            elif forced is None or right < forced[0]:
+                forced = right, i + 1
+        stack.append((i, label, high, left_high, right))
+    return forced, moves
 
 
 def _pair_views(pair) -> tuple:

@@ -15,9 +15,9 @@ extents and interval bounds for every node; it alone decides what a word is.
 One kernel (``_rotation_rows``) reads every rotation off a scan: where the
 rotated node's '1' moves, the interval it loses and the one it creates,
 each keyed lower * len(word) + upper, the one interval-key frame of the
-package.  The reduction step and the distance search in ``rotations`` and
-the packed difficulty rows and grow images in ``growth`` are all read off
-it.
+package.  The reduction step in ``rotations`` and the packed difficulty
+rows and grow images in ``growth`` are read off it; the distance search
+reads the same rows in one pass of its own, which builds no scan.
 """
 
 from __future__ import annotations

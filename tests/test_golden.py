@@ -15,6 +15,7 @@ import pytest
 from treepairs import (
     common_intervals,
     enumerate_trees,
+    exact_distance,
     growth_neighbors,
     is_difficult,
     one_off_moves,
@@ -113,6 +114,16 @@ def _verdicts():
     return lines
 
 
+def _distances():
+    # difficult pairs near the 2n - 6 cap, past the sizes the BFS tests reach
+    lines = []
+    for n in (9, 10, 11):
+        for seed in range(8):
+            s, t = sample_difficult_pair(n, random.Random(seed))
+            lines.append(f"{s} {t} {exact_distance((s, t))}")
+    return lines
+
+
 def _remy_pairs():
     # the stream holds three trees per size: pair each with the next, cyclically
     stream = _remy_stream()
@@ -151,6 +162,7 @@ LIBRARY_DIGESTS = {
     "choice_counts": (_choice_counts, "5654bf83bf32c87cdbd0855dc3791b594078ad0107265ff110c0cecef70100af"),
     "neighbors": (_neighbors, "6d39e13203857e43d46f5a388e5249fd2c4dbc3622afa8020190c3bc03ac41b0"),
     "is_difficult": (_verdicts, "8444846a1eda8fa8b20eaa6811a2b82c3450f1be95b1bba8daeede7e84b9ebaa"),
+    "exact_distance": (_distances, "b2eb22b41bcd6ae0b46f3a2fd67b03244d2354ec655fecb15df1a6e4ca49850a"),
     "pair_rules": (_pair_rules, "d75372367988d98d8b6d3d3642483921e72246098621b7cb25d75b1cb2c0eff6"),
 }
 

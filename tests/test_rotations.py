@@ -52,6 +52,10 @@ from treepairs import (
     word_scan,
 )
 from treepairs.cli import _verdict
+from treepairs.rotations import _toward
+from treepairs.words import _rotation_rows
+
+DIFFICULT_NINE = ("1110110011100100000", "1010110010110110000")
 
 # every public entry point that takes a pair and nothing else
 PAIR_ENTRY_POINTS = (
@@ -104,6 +108,8 @@ def test_word_entry_points_reject_junk(entry, junk):
         (common_intervals, 2),
         (one_off_moves, 2),
         (lambda pair: rotation_neighbors(pair[0]), 1),
+        # the search reads its popped words in a pass of its own, with no scan
+        (lambda _: exact_distance(DIFFICULT_NINE), 2),
     ],
 )
 def test_raw_words_are_scanned_once(query, expected, monkeypatch):
@@ -204,6 +210,39 @@ class TestDistance:
         for seed in range(6):
             s, t = sample_difficult_pair(n, random.Random(seed))
             assert exact_distance((s, t)) == bfs_distance(s, t) >= n
+
+    @pytest.mark.parametrize(
+        "pair, distance, least",
+        [
+            (("101101110010100010100", "111110100001101100000"), 14, 1093),
+            (("11101011100000101100100", "11010110110110100100000"), 15, 1419),
+        ],
+    )
+    def test_least_state_budget_is_pinned(self, pair, distance, least, monkeypatch):
+        # the fewest stored words under which the search still returns pins
+        # the order in which it pops and pushes, not only its answer
+        monkeypatch.setattr(treepairs.rotations, "STATE_BUDGET", least)
+        assert exact_distance(pair) == distance
+        monkeypatch.setattr(treepairs.rotations, "STATE_BUDGET", least - 1)
+        with pytest.raises(SizeGuardExceededError):
+            exact_distance(pair)
+
+    @pytest.mark.parametrize("goal_from", ["random tree", "rotated word"])
+    @given(tree_words(min_size=1, max_size=40), st.randoms(use_true_random=False))
+    def test_search_pass_matches_the_rotation_rows(self, goal_from, word, rng):
+        # a rotation of the word itself shares all but one interval with it,
+        # so its goal gives forced moves; a random tree gives free ones
+        internal = [i for i in range(1, len(word)) if word[i] == "1"]
+        if goal_from == "random tree":
+            t = remy_sample(word.size, rng)
+        else:
+            t = rotate(word, rng.choice(internal)) if internal else word
+        goal = {key for _, _, key, _ in _rotation_rows(word_scan(t))}
+        rows = list(_rotation_rows(word_scan(word)))
+        forced = next(((i, j) for i, j, key, made in rows if key not in goal and made in goal), None)
+        free = sorted((i, j) for i, j, key, made in rows if key not in goal and made not in goal)
+        found, moves = _toward(str(word), goal)
+        assert (found, sorted(moves)) == (forced, free)
 
     def test_state_budget(self, monkeypatch):
         pair = sample_difficult_pair(10, random.Random(1))
