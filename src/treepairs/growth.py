@@ -19,23 +19,24 @@ inserted '1'.
 
 The two halves of the sampler's step, which finds the difficult pairs of
 grown words of a pair, live here too.  Every interval is keyed as
-``words._rotation_rows`` keys it, lower * len(word) + upper of the parent
-or scanned word, so no caller picks a stride.  The packed rows (word, has,
-makes): ``_packed_row`` builds a word's masks in one walk, and
+``words._rotation_rows`` keys it, lower * len(word) + upper of the word it
+is read from.  Each filter reads per word what it has (``has``, its
+non-root intervals) and what it has or creates (``either``), and two words
+conflict when the ``either`` of one meets the ``has`` of the other.
+``_packed_row`` builds a word's (word, has, either) row in one walk, and
 ``_difficult_pairs`` filters pairs of rows into a list; the census and the
 sampler's small steps, which memoize the rows of the few small grown
-words, build rows this way.  The near-miss
-step, ``_near_miss_masks``, builds no row and lists no pair: it gives per
-grown U of one parent the mask of the grown V of the other that U makes a
-difficult pair with, and grow sites in place of words, so the sampler
-counts the pairs and builds only the one it draws.  ``_grow_classes``
-places an interval of a parent in all of its grown words at once, as heads
-and tails of the site orders and whole subtrees of grow sites.  The step
-first lists every key the first parent will look up, and
-``_grow_images`` places only the intervals of the second parent with an
-image on that list and turns them into masks of grown words per key.
-``_grow_classes`` is the one place that says where a grow step moves an
-interval.
+words, build rows this way.  The near-miss step, ``_near_miss_masks``,
+builds no row and lists no pair: it gives per grown U of one parent the
+mask of the grown V of the other that U makes a difficult pair with, and
+grow sites in place of words, so the sampler counts the pairs and builds
+only the one it draws.  ``_grow_classes`` places an interval of a parent
+in all of its grown words at once, as heads and tails of the site orders
+and whole subtrees of grow sites.  The step first lists every key the
+first parent will look up, and ``_grow_images`` places only the intervals
+of the second parent with an image on that list, into ``has`` and
+``either`` maps of grown words per key.  ``_grow_classes`` is the one
+place that says where a grow step moves an interval.
 
 Randomness is always taken from a caller-owned ``random.Random`` instance
 (Mersenne Twister), so identical seeds reproduce identical trees on every
@@ -44,13 +45,12 @@ platform.  Share nothing else: one generator per thread.
 
 from __future__ import annotations
 
-import random
 from itertools import accumulate
 from operator import or_
 
-from .errors import MalformedWordError, NotInternalError, TreePairError
+from .errors import MalformedWordError, NotInternalError
 from .words import TreeWord, word_scan
-from .words import _require_count, _require_node, _rotation_rows
+from .words import _require_count, _require_node, _require_rng, _rotation_rows
 
 __all__ = [
     "grow",
@@ -113,26 +113,25 @@ def _grow_sites(word: str, ends) -> list:
 
 
 def _packed_row(word: str) -> tuple:
-    """The (word, has, makes) row of ``word``, in one walk over
-    ``_rotation_rows``: bit masks of its non-root intervals and of its
-    created intervals, each at its ``_rotation_rows`` key.  Rows of words
-    of one size compare."""
-    has = makes = 0
+    """The (word, has, either) row of ``word``, in one walk over
+    ``_rotation_rows``: bit masks of the intervals it has (non-root) and
+    of those it has or creates, each at its ``_rotation_rows`` key.  Rows
+    of words of one size compare."""
+    has = created = 0
     for _, _, key, made in _rotation_rows(word_scan(word)):
         has |= 1 << key
-        makes |= 1 << made
-    return word, has, makes
+        created |= 1 << made
+    return word, has, has | created
 
 
 def _difficult_pairs(left, right):
-    """Every difficult (u, v) over two lists of (word, has, makes) rows, in
-    row order: no common interval, no interval of one side creatable in the
-    other, and u != v."""
+    """Every difficult (u, v) over two lists of (word, has, either) rows,
+    in row order: neither side has or creates an interval the other has,
+    and u != v."""
     found = []
-    for u_word, u_has, u_makes in left:
-        u_blocked = u_has | u_makes
-        for v_word, v_has, v_makes in right:
-            if u_blocked & v_has or v_makes & u_has or u_word == v_word:
+    for u_word, u_has, u_either in left:
+        for v_word, v_has, v_either in right:
+            if u_either & v_has or v_either & u_has or u_word == v_word:
                 continue
             found.append((u_word, v_word))
     return found
@@ -238,15 +237,15 @@ def _grow_classes(word: str) -> tuple:
 
 
 def _grow_images(word: str, wanted) -> tuple:
-    """(sites, has, makes): the grow sites of ``word`` in row order, as in
+    """(sites, has, either): the grow sites of ``word`` in row order, as in
     ``_grow_classes``, and maps from interval key to the mask of the rows
-    whose word has that non-root interval (``has``) or creates it
-    (``makes``).  The maps hold only the keys in ``wanted``, and an
+    whose word has that non-root interval (``has``) or has or creates it
+    (``either``).  The maps hold only the keys in ``wanted``, and an
     interval is placed only when one of its images is wanted."""
     scan, sites, rights, lefts, post, added, place = _grow_classes(word)
     ends = scan.subtree_end
-    has, makes = {}, {}
-    for keys, table in zip(added, (has, makes, makes)):
+    has, either = {}, {}  # either takes the created intervals, then all of has
+    for keys, table in zip(added, (has, either, either)):
         for row, key in enumerate(keys):
             if key in wanted:
                 table[key] = table.get(key, 0) | 1 << row
@@ -277,8 +276,10 @@ def _grow_images(word: str, wanted) -> tuple:
         if key in wanted or key + 1 in wanted or key + lift in wanted:
             write(key, i, False, has)
         if made in wanted or made + 1 in wanted or made + lift in wanted:
-            write(made, i, True, makes)
-    return sites, has, makes
+            write(made, i, True, either)
+    for key, rows in has.items():
+        either[key] = either.get(key, 0) | rows
+    return sites, has, either
 
 
 def _spread(heads, tails) -> list:
@@ -299,9 +300,10 @@ def _near_miss_masks(s: str, t: str) -> tuple:
     Both parents' keys share one frame, lower * len(s) + upper, which
     holds the labels up to k + 1 of every grown word.
 
-    A grown U of s and a grown V of t conflict when some interval is in
-    both, or one has an interval the other creates; U = V shares every
-    interval, so no word compare is needed.
+    A grown U of s and a grown V of t conflict when one has or creates an
+    interval the other has, so U's intervals are looked up in t's
+    ``either`` map and U's created intervals in its ``has`` map; U = V
+    shares every interval, so no word compare is needed.
     Every such interval is an image of an interval or created interval of
     the parent, placed by ``_grow_classes``, or one the step adds.  So s
     first lists the keys it will look up: each image of its intervals and
@@ -326,17 +328,13 @@ def _near_miss_masks(s: str, t: str) -> tuple:
     wanted.discard(-1)
     for _, _, key, made in rotations:
         wanted.update((key, key + 1, key + lift, made, made + 1, made + lift))
-    vs, has, makes = _grow_images(t, wanted)
-    either = has.keys() | makes.keys()
+    vs, has, either = _grow_images(t, wanted)
     blocked = [0] * (len(us) + 1)  # the last slot takes the marks of positions without a site
-    spans, news, grown = added
-    for row, key in enumerate(spans):
-        if key in either:
-            blocked[row] |= has.get(key, 0) | makes.get(key, 0)
-    for keys in (news, grown):  # a created interval conflicts only with one V has
+    # an added span meets a V that has or creates it; a created interval, one that has it
+    for keys, table in zip(added, (either, has, has)):
         for row, key in enumerate(keys):
-            if key in has:
-                blocked[row] |= has[key]
+            if key in table:
+                blocked[row] |= table[key]
     size = len(s)
     right_heads, right_tails, left_heads, left_tails = ([0] * (size + 1) for _ in range(4))
     under = [0] * (size + 1)  # under[x] covers x's subtree; the last slot is the root's parent
@@ -356,9 +354,7 @@ def _near_miss_masks(s: str, t: str) -> tuple:
 
     for i, _, key, made in rotations:
         if key in either or key + 1 in either or key + lift in either:
-            stay = has.get(key, 0) | makes.get(key, 0)
-            step = has.get(key + 1, 0) | makes.get(key + 1, 0)
-            mark(i, False, stay, step, has.get(key + lift, 0) | makes.get(key + lift, 0))
+            mark(i, False, either.get(key, 0), either.get(key + 1, 0), either.get(key + lift, 0))
         if made in has or made + 1 in has or made + lift in has:
             mark(i, True, has.get(made, 0), has.get(made + 1, 0), has.get(made + lift, 0))
     right_cols, left_cols = _spread(right_heads, right_tails), _spread(left_heads, left_tails)
@@ -399,8 +395,7 @@ def remy_sample(n: int, rng) -> TreeWord:
     random from ``rng``, which makes every size-n tree equally likely.
     """
     _require_count(n, "size")
-    if not isinstance(rng, random.Random):
-        raise TreePairError(f"rng must be a random.Random, not {rng!r}")
+    _require_rng(rng)
     word = "0"
     for k in range(n):
         site = rng.randrange(2 * k + 1)

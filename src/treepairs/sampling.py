@@ -40,10 +40,10 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .census import PAIR_GUARD, primitive_pairs
-from .errors import NotDifficultError, TreePairError
+from .errors import NotDifficultError
 from .growth import _difficult_pairs, _grow_sites, _grown, _near_miss_masks, _packed_row, _pairs
 from .rotations import TreePair, is_difficult
-from .words import TreeWord, _require_count, word_scan
+from .words import TreeWord, _require_count, _require_rng, word_scan
 
 __all__ = [
     "DEFAULT_SEED",
@@ -130,8 +130,7 @@ def pair_choices(pair) -> list:
 
 def _sample(n, rng):
     _require_count(n, "size", MIN_SIZE)
-    if not isinstance(rng, random.Random):
-        raise TreePairError(f"rng must be a random.Random, not {rng!r}")
+    _require_rng(rng)
     s, t = _STARTS[rng.randrange(len(_STARTS))]
     counts = []
     for _ in range(n - MIN_SIZE):

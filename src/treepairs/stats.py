@@ -12,13 +12,16 @@ from .census import PAIR_GUARD, enumerate_difficult_pairs
 from .growth import remy_sample
 from .rotations import TreePair, reduce_pair
 from .sampling import MIN_SIZE, sample_difficult_pair
-from .words import _require_count
+from .words import _require_count, _require_rng
 
 __all__ = ["CoverageReport", "ReductionProfile", "coverage_report", "reduction_profile"]
 
 
 @lru_cache(maxsize=PAIR_GUARD + 1)
 def _universe(n):
+    # bench/probes.py times the census by wrapping this module's name
+    # enumerate_difficult_pairs and divides by that time, so keep this call:
+    # a count that skips it fails the traced bench run with ZeroDivisionError
     return len(enumerate_difficult_pairs(n))  # fixed per size: count it once per process
 
 
@@ -101,6 +104,7 @@ def coverage_report(n: int, samples: int, rng) -> CoverageReport:
     """
     _require_count(n, "size", MIN_SIZE)
     _require_count(samples, "samples")
+    _require_rng(rng)
     frequencies = Counter()
     shared = _shared(n) if n <= PAIR_GUARD else {}
     for _ in range(samples):
@@ -161,6 +165,7 @@ def reduction_profile(n: int, samples: int, rng) -> ReductionProfile:
     """
     _require_count(n, "size")
     _require_count(samples, "samples")
+    _require_rng(rng)
     total_fraction = 0.0
     total_forced = 0
     resolved = 0

@@ -22,9 +22,11 @@ reads the same rows in one pass of its own, which builds no scan.
 
 from __future__ import annotations
 
+import random
 from typing import NamedTuple
 
 from .errors import MalformedWordError, NoParentError, NotInternalError, SizeTooSmallError
+from .errors import TreePairError
 
 __all__ = [
     "Interval",
@@ -161,6 +163,12 @@ def _require_count(value: int, name: str, least: int = 0) -> int:
     if value < least:
         raise SizeTooSmallError(f"{name} must be >= {least}, not {value}")
     return value
+
+
+def _require_rng(rng) -> None:
+    """The check on every ``rng`` argument, made before anything is drawn."""
+    if not isinstance(rng, random.Random):
+        raise TreePairError(f"rng must be a random.Random, not {rng!r}")
 
 
 def subtree_end(word: str, index: int) -> int:

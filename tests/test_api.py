@@ -123,6 +123,8 @@ BAD_CALLS = [
     (remy_sample, (5, None), TreePairError),
     (coverage_report, (6, 3, None), TreePairError),
     (reduction_profile, (5, 2, None), TreePairError),
+    (coverage_report, (5, 0, None), TreePairError),
+    (reduction_profile, (5, 0, None), TreePairError),
 ]
 
 

@@ -83,6 +83,9 @@ class TestDifficultCensus:
         with pytest.raises(SizeGuardExceededError):
             enumerate_difficult_pairs(9)
 
+    def test_count_past_the_guard(self):
+        assert len(enumerate_difficult_pairs(9, max_size=9)) == 209_638
+
 
 class TestPrimitives:
     def test_fixture_matches_enumeration(self):
