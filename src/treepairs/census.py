@@ -47,34 +47,22 @@ def catalan(n: int) -> int:
 def enumerate_trees(n: int, max_size: int = TREE_GUARD) -> list:
     """All valid words of size ``n`` in lexicographic order.
 
-    Generated by a backtracking walk that tries '0' before '1', so the
-    output needs no sort; the count is always Catalan(n).
+    Listed by successor, so the output needs no sort; the count is always
+    Catalan(n).  The first word is ``"10" * n + "0"``.  Each next word
+    turns the '0' of the last "01" into a '1' and completes the word as
+    small as it goes: a '0' per open subtree, then "10" up to n '1's, then
+    the last leaf.  The word with no "01" is the last.
     """
     _require_count(n, "size")
     if n > _require_count(max_size, "max_size"):
         raise SizeGuardExceededError(f"size {n} exceeds the census guard {max_size}")
-    words = []
-    _extend(n, 0, 0, [], words)
+    word = "10" * n + "0"
+    words = [TreeWord._trusted(word)]
+    while (cut := word.rfind("01")) >= 0:
+        ones = word.count("1", 0, cut) + 1
+        word = word[:cut] + "1" + "0" * (2 * ones - cut - 1) + "10" * (n - ones) + "0"
+        words.append(TreeWord._trusted(word))
     return words
-
-
-def _extend(n, ones, zeros, symbols, words):
-    """Append to ``words`` every size-``n`` word that starts with
-    ``symbols`` (``ones`` 1s and ``zeros`` 0s), trying '0' before '1'.  A
-    module function rather than a closure that calls itself: that closure
-    would hold itself in a cell, and the cycle would keep ``words`` alive
-    until the cyclic collector ran."""
-    if zeros == n + 1:
-        words.append(TreeWord._trusted("".join(symbols)))
-        return
-    if zeros < ones or (ones == n and zeros == n):
-        symbols.append("0")
-        _extend(n, ones, zeros + 1, symbols, words)
-        symbols.pop()
-    if ones < n:
-        symbols.append("1")
-        _extend(n, ones + 1, zeros, symbols, words)
-        symbols.pop()
 
 
 def enumerate_difficult_pairs(n: int, max_size: int = PAIR_GUARD) -> list:

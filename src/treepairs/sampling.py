@@ -39,7 +39,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate
 
-from .census import PAIR_GUARD, primitive_pairs
+from .census import PAIR_GUARD, enumerate_difficult_pairs
 from .errors import NotDifficultError
 from .growth import _difficult_pairs, _grow_sites, _grown, _near_miss_masks, _packed_row, _pairs
 from .rotations import TreePair, is_difficult
@@ -56,14 +56,10 @@ __all__ = [
 DEFAULT_SEED = 0
 MIN_SIZE = 4
 
-# Both orientations of every primitive pair: difficulty is symmetric, and
-# seeding with ordered pairs is what lets the sampler reach swapped outputs.
-_STARTS = tuple(
-    sorted(
-        [(str(p.s), str(p.t)) for p in primitive_pairs()]
-        + [(str(p.t), str(p.s)) for p in primitive_pairs()]
-    )
-)
+# Both orientations of every primitive pair, which is the ordered size-4
+# census: difficulty is symmetric, and seeding with ordered pairs is what
+# lets the sampler reach swapped outputs.
+_STARTS = tuple((str(s), str(t)) for s, t in enumerate_difficult_pairs(MIN_SIZE))
 
 
 # The rows of the grown words of parents below PAIR_GUARD, built once per

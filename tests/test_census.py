@@ -1,4 +1,5 @@
 import gc
+import sys
 
 import pytest
 
@@ -50,6 +51,21 @@ class TestTreeCensus:
         with pytest.raises(SizeGuardExceededError):
             enumerate_trees(15)
         assert len(enumerate_trees(15, max_size=15)) == catalan(15)
+
+    def test_census_depth_does_not_grow_with_size(self):
+        # raising max_size costs time and memory only: with 20 frames to
+        # spare the census lists all 208,012 words, so its stack depth
+        # does not grow with n
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 20)
+        try:
+            trees = enumerate_trees(12)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(trees) == catalan(12)
 
 
 class TestDifficultCensus:

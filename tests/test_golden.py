@@ -41,6 +41,8 @@ CLI_DIGESTS = {
         "302e37a90846817fe5cdc437ac5fe0061707646a0b0736557616d9dc45d37054",
     ("enumerate", "--size", "6", "--difficult"):
         "e1d09dd6615d40fbaa95178a082e8d3e887cda85df153345296b3ce13f963e04",
+    ("enumerate", "--size", "11"):
+        "9de577bddeffdba8d23fa90ec3d7806afa6cc7cbda703d050eeeb13471cc87bb",
     ("coverage", "--size", "6", "--samples", "200", "--seed", "0", "--json"):
         "71b9e5907c4239e603243e9424365afda1924cbdb7cb1d81d538d80102e82c5d",
     ("coverage", "--size", "6", "--samples", "200", "--seed", "0", "--frequencies"):
