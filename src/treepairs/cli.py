@@ -1,15 +1,17 @@
 """Batch command-line front end.
 
 Data goes to stdout, diagnostics to stderr.  Exit status: 0 on success, 1 on
-a domain error (malformed word, size guard, size too small) or an unreadable
-file, 2 on a usage error.  Every command is deterministic for a fixed
-argument vector; sampling commands default to seed 0 rather than the clock.
+a domain error (malformed word, size guard, size too small), an unreadable
+file or a closed stdout, 2 on a usage error, 130 on an interrupt.  Every
+command is deterministic for a fixed argument vector; sampling commands
+default to seed 0 rather than the clock.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -119,15 +121,24 @@ def _cmd_coverage(args):
     return 0
 
 
-def _positive_int(text):
-    """argparse type for counts and sizes; anything below 1 is a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
-    return value
+def _int_at_least(low, kind):
+    """argparse type for ints >= ``low``; anything else is a usage error."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, not {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")  # counts and sizes
+# seeds: random.Random seeds with |seed|, so -3 would repeat the draws of 3
+_seed = _int_at_least(0, "non-negative")
 
 
 def _build_parser():
@@ -142,7 +153,7 @@ def _build_parser():
     p.add_argument("--count", type=_positive_int, default=1, help="number of pairs")
     p.add_argument(
         "--seed",
-        type=int,
+        type=_seed,
         default=DEFAULT_SEED,
         help=f"seed of the first pair; pair k uses seed+k (default: {DEFAULT_SEED})",
     )
@@ -180,7 +191,7 @@ def _build_parser():
     p.add_argument("--size", type=_positive_int, required=True)
     p.add_argument("--samples", type=_positive_int, required=True)
     p.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help=f"(default: {DEFAULT_SEED})"
+        "--seed", type=_seed, default=DEFAULT_SEED, help=f"(default: {DEFAULT_SEED})"
     )
     p.add_argument("--json", action="store_true", help="emit a JSON document")
     p.add_argument(
@@ -196,7 +207,15 @@ def _build_parser():
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not in the flush at exit
+        return code
+    except KeyboardInterrupt:
+        return 130
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes nowhere, and quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (TreePairError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -29,14 +29,14 @@ sampler's small steps, which memoize the rows of the few small grown
 words, build rows this way.  The near-miss step, ``_near_miss_masks``,
 builds no row and lists no pair: it gives per grown U of one parent the
 mask of the grown V of the other that U makes a difficult pair with, and
-grow sites in place of words, so the sampler counts the pairs and builds
-only the one it draws.  ``_grow_classes`` places an interval of a parent
-in all of its grown words at once, as heads and tails of the site orders
-and whole subtrees of grow sites.  The step first lists every key the
-first parent will look up, and ``_grow_images`` places only the intervals
-of the second parent with an image on that list, into ``has`` and
-``either`` maps of grown words per key.  ``_grow_classes`` is the one
-place that says where a grow step moves an interval.
+grow sites in place of words; ``_GrownPairs``, their one reader, counts
+the pairs and builds only the one the sampler draws.  ``_grow_classes``
+places an interval of a parent in all of its grown words at once, as heads
+and tails of the site orders and whole subtrees of grow sites.  The step
+first lists every key the first parent will look up, and ``_grow_images``
+places only the intervals of the second parent with an image on that list,
+into ``has`` and ``either`` maps of grown words per key.  ``_grow_classes``
+is the one place that says where a grow step moves an interval.
 
 Randomness is always taken from a caller-owned ``random.Random`` instance
 (Mersenne Twister), so identical seeds reproduce identical trees on every
@@ -45,6 +45,7 @@ platform.  Share nothing else: one generator per thread.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import accumulate
 from operator import or_
 
@@ -134,18 +135,6 @@ def _difficult_pairs(left, right):
             if u_either & v_has or v_either & u_has or u_word == v_word:
                 continue
             found.append((u_word, v_word))
-    return found
-
-
-def _pairs(us, vs, free) -> list:
-    """The pairs (us[r], vs[c]) for every bit c of free[r], row by row and
-    each row's bits ascending: in lexicographic order when us and vs are."""
-    found = []
-    for u, mask in zip(us, free):
-        while mask:
-            low = mask & -mask
-            found.append((u, vs[low.bit_length() - 1]))
-            mask ^= low
     return found
 
 
@@ -296,7 +285,7 @@ def _near_miss_masks(s: str, t: str) -> tuple:
     per U the mask of the V rows it makes a difficult pair with, found
     without building a row or a grown word.  Bit c of free[r] is set just
     when ``_difficult_pairs`` over the ``_packed_row`` rows lists
-    (U_r, V_c), so ``_pairs`` lists the same pairs in the same order.
+    (U_r, V_c), so ``_GrownPairs`` lists the same pairs in the same order.
     Both parents' keys share one frame, lower * len(s) + upper, which
     holds the labels up to k + 1 of every grown word.
 
@@ -365,6 +354,38 @@ def _near_miss_masks(s: str, t: str) -> tuple:
     blocked.pop()
     every = (1 << len(vs)) - 1
     return us, vs, [every & ~conflicts for conflicts in blocked]
+
+
+class _GrownPairs:
+    """The difficult pairs grown from (s, t) by the near-miss step, in
+    lexicographic order, without listing them: ``len`` counts the free
+    masks' bits and ``[r]`` builds only the r-th pair, the U row found by
+    a prefix sum of the counts and the V by the row's set bits; iterating
+    builds each grown word once."""
+
+    def __init__(self, s, t):
+        self.s, self.t = s, t
+        self.us, self.vs, self.free = _near_miss_masks(s, t)
+        self.ends = list(accumulate(map(int.bit_count, self.free)))
+
+    def __len__(self):
+        return self.ends[-1]
+
+    def __getitem__(self, r):
+        row = bisect_right(self.ends, r)
+        mask = self.free[row]
+        for _ in range(r - (self.ends[row - 1] if row else 0)):
+            mask &= mask - 1
+        return _grown(self.s, *self.us[row]), _grown(self.t, *self.vs[(mask & -mask).bit_length() - 1])
+
+    def __iter__(self):
+        vs = [_grown(self.t, *site) for site in self.vs]
+        for site, mask in zip(self.us, self.free):
+            u = _grown(self.s, *site)
+            while mask:
+                low = mask & -mask
+                yield u, vs[low.bit_length() - 1]
+                mask ^= low
 
 
 def grow(word: str, index: int, side: str = "left") -> TreeWord:

@@ -14,15 +14,15 @@ census guard ``PAIR_GUARD`` filter all of them on the packed rows of
 decide each pair (``growth._difficult_pairs``), and the step lists the few
 that pass.  Each grown word's row is built from scratch, as the census
 builds it, and memoized per word, which holds at most the 2,033 words of
-sizes 5-8.  Larger parents take ``growth._near_miss_masks``, which visits
-no candidate pair: it reads each grown word's conflicts off the near
-misses between the two parents' intervals and leaves per U a mask of its
-free V.  ``_GrownPairs`` counts their bits and builds only the drawn pair:
-a prefix sum of the counts finds its U, the U's set bits its V.  Listed,
-both give the same list, and tests hold them against each other at every
-size.  A single pair (``is_difficult``) goes through the reduction step
-instead.  The independent oracle, which parses raw words into tuple trees
-and rotates them, lives in the tests.
+sizes 5-8.  Larger parents take ``growth._GrownPairs``, a sequence of the
+pairs that visits no candidate pair: its near-miss step reads each grown
+word's conflicts off the near misses between the two parents' intervals.
+Its length counts the pairs, and ``[r]`` builds only the drawn one
+without listing the rest.  Listed, both steps give the same list, and
+tests hold them against each other at every size.  A single pair
+(``is_difficult``) goes through the reduction step instead.  The
+independent oracle, which parses raw words into tuple trees and rotates
+them, lives in the tests.
 
 Sampling is deterministic per (n, seed): drive it with ``random.Random(seed)``
 (Mersenne Twister, bit-stable across platforms).  The distribution is not
@@ -35,13 +35,11 @@ n = 7 and 21,622 of 23,150 at n = 8 are reachable).
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from functools import lru_cache
-from itertools import accumulate
 
 from .census import PAIR_GUARD, enumerate_difficult_pairs
 from .errors import NotDifficultError
-from .growth import _difficult_pairs, _grow_sites, _grown, _near_miss_masks, _packed_row, _pairs
+from .growth import _difficult_pairs, _grow_sites, _grown, _GrownPairs, _packed_row
 from .rotations import TreePair, is_difficult
 from .words import TreeWord, _require_count, _require_rng, word_scan
 
@@ -65,32 +63,6 @@ _STARTS = tuple((str(s), str(t)) for s, t in enumerate_difficult_pairs(MIN_SIZE)
 # The rows of the grown words of parents below PAIR_GUARD, built once per
 # process.  The keys are words of sizes 5 to PAIR_GUARD only.
 _grown_row = lru_cache(maxsize=None)(_packed_row)
-
-
-class _GrownPairs:
-    """The difficult pairs grown from (s, t) by the near-miss step, in
-    lexicographic order, without listing them: ``len`` counts the free
-    masks' bits and ``[r]`` builds only the r-th pair, the U row found by
-    a prefix sum of the counts and the V by the row's set bits."""
-
-    def __init__(self, s, t):
-        self.s, self.t = s, t
-        self.us, self.vs, self.free = _near_miss_masks(s, t)
-        self.ends = list(accumulate(map(int.bit_count, self.free)))
-
-    def __len__(self):
-        return self.ends[-1]
-
-    def __getitem__(self, r):
-        row = bisect_right(self.ends, r)
-        mask = self.free[row]
-        for _ in range(r - (self.ends[row - 1] if row else 0)):
-            mask &= mask - 1
-        return _grown(self.s, *self.us[row]), _grown(self.t, *self.vs[(mask & -mask).bit_length() - 1])
-
-    def __iter__(self):
-        us = [_grown(self.s, *site) for site in self.us]
-        return iter(_pairs(us, [_grown(self.t, *site) for site in self.vs], self.free))
 
 
 def _difficult_grown_pairs(s, t):

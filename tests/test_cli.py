@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import treepairs
-from treepairs import is_difficult, parse_pair, parse_word
+from treepairs import cli, is_difficult, parse_pair, parse_word
 from treepairs.cli import main
 
 
@@ -14,6 +14,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _child_env():
+    # the child imports the package from where this process found it
+    package_root = os.path.dirname(os.path.dirname(treepairs.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 class TestCheck:
@@ -176,6 +183,16 @@ class TestSample:
             main(["sample", "--count", "1"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv", [["sample", "--size", "8"], ["coverage", "--size", "5", "--samples", "3"]]
+    )
+    def test_negative_seed_is_usage_error(self, argv, capsys):
+        # random.Random(-1) draws what random.Random(1) does
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--seed", "-1"])
+        assert info.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+
 
 class TestCoverage:
     def test_json_carries_the_frequencies_with_or_without_the_flag(self, capsys):
@@ -199,13 +216,34 @@ class TestDeterminism:
         # separate processes get different hash seeds, which must not matter
         argv = [sys.executable, "-m", "treepairs", "sample", "--size", "10",
                 "--count", "3", "--seed", "5"]
-        # the child imports the package from where this process found it
-        package_root = os.path.dirname(os.path.dirname(treepairs.__file__))
-        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         outputs = []
         for hash_seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+            env = dict(_child_env(), PYTHONHASHSEED=hash_seed)
             result = subprocess.run(argv, capture_output=True, text=True, env=env)
             assert result.returncode == 0, result.stderr
             outputs.append(result.stdout)
         assert outputs[0] == outputs[1]
+
+
+class TestEndingEarly:
+    def test_interrupt_exits_130(self, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_cmd_enumerate", interrupted)
+        try:
+            code = main(["enumerate", "--size", "3"])
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped main")
+        assert code == 130
+
+    def test_closed_stdout_ends_quietly(self):
+        # about 380 KB, far more than a pipe holds: the child writes again after the close
+        argv = [sys.executable, "-m", "treepairs", "enumerate", "--size", "10"]
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()
+        ) as child:
+            assert child.stdout.readline() == b"# n=10 count=16796\n"
+            child.stdout.close()
+            err = child.stderr.read()
+        assert (child.returncode, err) == (1, b"")

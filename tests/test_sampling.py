@@ -30,8 +30,8 @@ from treepairs import (
     sample_difficult_pair,
     sample_with_choice_counts,
 )
-from treepairs.growth import _difficult_pairs, _grown, _near_miss_masks, _packed_row, _pairs
-from treepairs.sampling import _STARTS, MIN_SIZE, _difficult_grown_pairs, _grown_row, _GrownPairs
+from treepairs.growth import _difficult_pairs, _GrownPairs, _packed_row
+from treepairs.sampling import _STARTS, MIN_SIZE, _difficult_grown_pairs, _grown_row
 
 
 def _mask_to_set(mask, stride):
@@ -61,8 +61,7 @@ def _packed_choices(s, t):
 
 def _near_miss_pairs(s, t):
     # the near-miss step's free masks, listed
-    us, vs, free = _near_miss_masks(s, t)
-    return _pairs([_grown(s, *site) for site in us], [_grown(t, *site) for site in vs], free)
+    return list(_GrownPairs(s, t))
 
 
 @pytest.mark.parametrize("n", range(4, 8))
@@ -113,6 +112,14 @@ def test_selecting_an_index_builds_the_pair_listed_there(k):
     for r in sorted(spread):
         assert found[r] == listed[r], r
     assert list(found) == listed
+
+
+@given(tree_pairs(min_size=1, max_size=25))
+@example((TreeWord("100"), TreeWord("100")))
+def test_listing_and_selecting_agree_on_any_pair(pair):
+    # the iterator's bit loop against the prefix sum and bit stripping, difficult or not
+    found = _GrownPairs(*pair)
+    assert list(found) == [found[r] for r in range(len(found))]
 
 
 def test_choice_counts_are_the_lengths_of_the_choice_lists():
