@@ -9,6 +9,7 @@ Catalan(n)^2 pairs).
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import SizeGuardExceededError
 from .rotations import TreePair
@@ -45,7 +46,7 @@ def catalan(n: int) -> int:
 
 
 def enumerate_trees(n: int, max_size: int = TREE_GUARD) -> list:
-    """All valid words of size ``n`` in lexicographic order.
+    """All valid words of size ``n`` in lexicographic order, as plain ``str``.
 
     Listed by successor, so the output needs no sort; the count is always
     Catalan(n).  The first word is ``"10" * n + "0"``.  Each next word
@@ -56,17 +57,21 @@ def enumerate_trees(n: int, max_size: int = TREE_GUARD) -> list:
     _require_count(n, "size")
     if n > _require_count(max_size, "max_size"):
         raise SizeGuardExceededError(f"size {n} exceeds the census guard {max_size}")
+    # no list holds more than sys.maxsize items, and Catalan(36) is past that
+    # on every build, so a huge n never reaches math.comb
+    if catalan(min(n, 36)) > sys.maxsize:
+        raise SizeGuardExceededError(f"size {n} has more trees than a list can hold")
     word = "10" * n + "0"
-    words = [TreeWord._trusted(word)]
+    words = [word]
     while (cut := word.rfind("01")) >= 0:
         ones = word.count("1", 0, cut) + 1
         word = word[:cut] + "1" + "0" * (2 * ones - cut - 1) + "10" * (n - ones) + "0"
-        words.append(TreeWord._trusted(word))
+        words.append(word)
     return words
 
 
 def enumerate_difficult_pairs(n: int, max_size: int = PAIR_GUARD) -> list:
-    """All ordered difficult pairs of size ``n`` in lexicographic order."""
+    """All ordered difficult pairs of size ``n`` as ``TreePair``s of ``str``, lexicographically."""
     _require_count(n, "size")
     if n > _require_count(max_size, "max_size"):
         raise SizeGuardExceededError(f"size {n} exceeds the census guard {max_size}")

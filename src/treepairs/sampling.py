@@ -57,7 +57,7 @@ MIN_SIZE = 4
 # Both orientations of every primitive pair, which is the ordered size-4
 # census: difficulty is symmetric, and seeding with ordered pairs is what
 # lets the sampler reach swapped outputs.
-_STARTS = tuple((str(s), str(t)) for s, t in enumerate_difficult_pairs(MIN_SIZE))
+_STARTS = tuple(enumerate_difficult_pairs(MIN_SIZE))
 
 
 # The rows of the grown words of parents below PAIR_GUARD, built once per

@@ -96,8 +96,8 @@ def coverage_report(n: int, samples: int, rng) -> CoverageReport:
     """Draw ``samples`` difficult pairs of size ``n`` and tally them.
 
     The tally keys are pairs of plain ``str`` words with one object per
-    distinct word and per distinct pair: a ``TreeWord`` takes about twice
-    the memory of a ``str``, and callers may keep many reports.  Up to
+    distinct word and per distinct pair: a drawn ``TreeWord`` takes 48 bytes
+    more than a ``str``, and callers may keep many reports.  Up to
     ``PAIR_GUARD``, where a size has few enough pairs to keep them all, the
     reports of one size share those objects too, so a report adds only its
     counts.

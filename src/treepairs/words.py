@@ -56,7 +56,7 @@ class Interval(NamedTuple):
 class TreeWord(str):
     """A pre-order tree word validated by ``word_scan``; behaves as a plain string."""
 
-    __slots__ = ()  # no per-word __dict__: censuses hold millions of words
+    __slots__ = ()  # no per-word __dict__: neighbor sets and samples hold many words
 
     def __new__(cls, text: str) -> "TreeWord":
         word_scan(text)

@@ -13,6 +13,7 @@ from conftest import tree_words
 from treepairs import (
     MalformedWordError,
     NotInternalError,
+    SizeGuardExceededError,
     SizeTooSmallError,
     TreePairError,
     coverage_report,
@@ -114,6 +115,8 @@ BAD_CALLS = [
     (enumerate_trees, (-1,), SizeTooSmallError),
     (enumerate_trees, (3, None), SizeTooSmallError),
     (enumerate_difficult_pairs, ("3",), SizeTooSmallError),
+    (enumerate_trees, (2**64, 2**64), SizeGuardExceededError),
+    (enumerate_difficult_pairs, (2**64, 2**64), SizeGuardExceededError),
     (reduction_profile, (-1, 2, RNG), SizeTooSmallError),
     (reduction_profile, (5, -3, RNG), SizeTooSmallError),
     (coverage_report, (5, -3, RNG), SizeTooSmallError),

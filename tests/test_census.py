@@ -35,6 +35,7 @@ class TestTreeCensus:
         assert trees == sorted(trees)
         assert len(set(trees)) == len(trees)
         for word in trees:
+            assert type(word) is str
             assert parse_word(word).size == n
 
     def test_dropped_result_leaves_nothing_for_the_collector(self):
@@ -81,6 +82,7 @@ class TestDifficultCensus:
     def test_all_members_difficult_and_ordered(self):
         pairs = enumerate_difficult_pairs(5)
         assert pairs == sorted(pairs)
+        assert all(type(s) is str and type(t) is str for s, t in pairs)
         assert all(difficult_by_recomputation(*p) for p in pairs)
 
     @pytest.mark.parametrize("n", [1, 4, 5])

@@ -135,6 +135,12 @@ class TestEnumerate:
         code, _, err = run_cli(capsys, "enumerate", "--size", "20")
         assert code == 1 and "guard" in err
 
+    def test_census_no_list_can_hold_is_domain_error(self, capsys):
+        size = str(2**64)
+        code, out, err = run_cli(capsys, "enumerate", "--size", size, "--max-size", size)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 class TestSample:
     def test_words_format_round_trips(self, capsys):
