@@ -42,6 +42,8 @@ _PRIMITIVE_PAIRS = (
 def catalan(n: int) -> int:
     """Number of extended ordered binary trees with ``n`` internal nodes."""
     _require_count(n, "size")
+    if 2 * n > sys.maxsize:  # math.comb raises OverflowError past it
+        raise SizeGuardExceededError(f"Catalan({n}) is too large to compute")
     return math.comb(2 * n, n) // (n + 1)
 
 

@@ -24,12 +24,14 @@ created interval, which the step cuts at once, since the rotated node sits
 at the move's target.  A pair is difficult when that step finds it neither
 identical nor cut; the packed masks of ``growth`` decide difficulty only in
 batches, for the sampler and the census.  The set-based oracle for both
-lives in the tests.  Every rotation is rebuilt by ``_rotated`` and, but in
-``exact_distance``, read off ``_rotation_rows``.  ``exact_distance`` is an
-A* search that prunes with the same two lemmas the reduction rules rest on
-and reads each popped word's moves in one pass of its own (``_toward``),
-with no scan; the tests check that pass against ``_rotation_rows`` and the
-search against a plain BFS.
+lives in the tests.  Every rotation of a word is rebuilt by ``_rotated``
+and read off ``_rotation_rows``.  ``exact_distance`` is an A* search that
+prunes with the same two lemmas the reduction rules rest on; it stores each
+tree as a compact state of in-order node bounds (``_state``), reads a
+popped state's moves in one pass over its bounds (``_toward``) and rotates
+by four edits (``_turned``), so no word is rebuilt or scanned after the
+start.  The tests check that pass and those edits against
+``_rotation_rows`` and ``_rotated``, and the search against a plain BFS.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ __all__ = [
 ]
 
 DISTANCE_GUARD = 12
-STATE_BUDGET = 500_000  # words one exact_distance search may store, about 200 MB
+STATE_BUDGET = 500_000  # states one exact_distance search may store, about 90 MB
 
 
 class TreePair(NamedTuple):
@@ -118,7 +120,7 @@ def rotation_neighbors(word: str) -> set:
 def exact_distance(pair, max_size: int = DISTANCE_GUARD) -> int:
     """Length of a shortest rotation sequence between the two trees of ``pair``.
 
-    Runs a best-first (A*) search from S.  A word's bound is the number of
+    Runs a best-first (A*) search from S.  A tree's bound is the number of
     T's non-root intervals it lacks: a rotation swaps exactly one interval,
     so each move lowers the bound by at most one.  Two lemmas of Sleator,
     Tarjan and Thurston (1988) prune every state's moves: a node whose
@@ -126,13 +128,15 @@ def exact_distance(pair, max_size: int = DISTANCE_GUARD) -> int:
     common interval, and a move creating an interval of T is played alone,
     since it starts some shortest path.  A state with no such move wastes its
     first move, so it goes back on the heap one step later, its moves held in
-    its entry, and its moved words are built only when it comes off again.
-    A word's first push is final: no allowed move raises the bound (a forced
-    move gains an interval of T, any other swaps two that T lacks), so a word
-    is pushed at the level, moves + bound, of the pop that pushes it; levels
-    come off the heap in order, so its first push has its fewest moves, and
-    the search pushes each word once.  A popped word's moves come from
-    ``_toward``, not a scan.  All search state belongs to the call.
+    its entry as node ids, and its moved trees are built only when it comes
+    off again.  A tree's first push is final: no allowed move raises the
+    bound (a forced move gains an interval of T, any other swaps two that T
+    lacks), so a tree is pushed at the level, moves + bound, of the pop that
+    pushes it; levels come off the heap in order, so its first push has its
+    fewest moves, and the search pushes each tree once.  A tree is held as
+    its ``_state``, which sorts as its word does, so heap ties break in word
+    order; a popped state's moves come from ``_toward`` and each move is
+    four edits by ``_turned``.  All search state belongs to the call.
     The guard caps the pair size, ``STATE_BUDGET`` the states one search
     stores; beyond either the search raises ``SizeGuardExceededError``.
     Raise the guard explicitly for bigger one-off queries.
@@ -145,66 +149,93 @@ def exact_distance(pair, max_size: int = DISTANCE_GUARD) -> int:
         return 0
     goal = {key for _, _, key, _ in _rotation_rows(t_scan)}
     bound = len(goal - {key for _, _, key, _ in _rotation_rows(s_scan)})
-    seen = {s}  # every word pushed, each once, at its fewest moves
-    heap = [(bound, bound, s, ())]  # (moves + bound, bound, word, parked moves)
+    freeze, thaw = (bytes, bytearray) if n < 256 else (tuple, list)  # a byte holds labels < 256
+    start, target = (freeze(_state(word, scan)) for word, scan in ((s, s_scan), (t, t_scan)))
+    seen = {start}  # every state pushed, each once, at its fewest moves
+    heap = [(bound, bound, start, ())]  # (moves + bound, bound, state, parked moves)
     while heap:
         if len(seen) > STATE_BUDGET:
             raise SizeGuardExceededError(
                 f"the search stored {len(seen)} states, over its budget of {STATE_BUDGET}"
             )
-        f, h, word, parked = heappop(heap)
-        if parked:  # put back one step on, so its moved words' bound is h - 1
-            for i, j in parked:
-                child = _rotated(word, i, j)
+        f, h, state, parked = heappop(heap)
+        if parked:  # put back one step on, so its moved states' bound is h - 1
+            for j in parked:
+                child = freeze(_turned(thaw(state), j))
                 if child not in seen:
                     seen.add(child)
                     heappush(heap, (f, h - 1, child, ()))
             continue
-        forced, moves = _toward(word, goal)
-        if forced:
-            child = _rotated(word, *forced)
-            if child == t:
+        forced, moves = _toward(state, goal)
+        if forced is not None:
+            child = freeze(_turned(thaw(state), forced))
+            if child == target:
                 return f - h + 1
             if child not in seen:
                 seen.add(child)
                 heappush(heap, (f, h - 1, child, ()))
-        else:  # never empty: a word with every non-root interval of T is T
-            heappush(heap, (f + 1, h + 1, word, tuple(moves)))
+        else:  # never empty: a tree with every non-root interval of T is T
+            heappush(heap, (f + 1, h + 1, state, freeze(moves)))
     raise RuntimeError("the search ran out of states before reaching T; a pruning rule is broken")
 
 
-def _toward(word: str, goal) -> tuple:
-    """(forced, moves) of a valid ``word`` toward T's interval keys ``goal``,
-    each move a ``_rotation_rows`` (node, target): ``forced`` is the first in
-    word order that keeps no interval of T and creates one, else None, and
-    ``moves`` all that do neither.  The search's own right-to-left pass tests
-    both children of a node as it pops them and builds no ``WordScan``; an
-    entry is (index, lower, upper, left child's upper, right child)."""
-    stride = len(word)
-    forced, moves = None, []
-    label = stride // 2 + 1
-    stack = []
-    for i in range(stride - 1, -1, -1):
-        if word[i] == "0":
-            label -= 1
-            stack.append((i, label, label, 0, 0))
+def _state(word: str, scan) -> list:
+    """The search state of a scanned ``word``: 3n labels indexed by in-order
+    node id j, the node between leaves j and j + 1.  ``runs[l]`` (at l) is
+    the number of internal nodes whose lower bound is l, the run of '1's
+    before leaf l, so the runs spell the word and states sort as words do;
+    ``lo[j]`` (at n + j) and ``hi[j]`` (at 2n + j) are node j's bounds."""
+    n = len(word) // 2
+    lower, upper = scan.lower, scan.upper
+    state = [0] * (3 * n)
+    for i in range(1, len(word)):
+        if word[i - 1] == "1":  # its left child starts at i and ends at leaf j
+            j, low = upper[i], lower[i - 1]
+            state[low] += 1
+            state[n + j], state[2 * n + j] = low, upper[i - 1]
+    return state
+
+
+def _toward(state, goal) -> tuple:
+    """(forced, moves) of a search ``state`` toward T's interval keys
+    ``goal``, each move an in-order node id: ``forced`` is the first in word
+    order, the least (lower, -upper), that keeps no interval of T and
+    creates one, else None, and ``moves`` all that do neither.  Node j is
+    the left child of node hi[j] when that node shares its lower bound, and
+    else the right child of node lo[j] - 1; the root spans all n + 1 leaves."""
+    n = len(state) // 3
+    stride = 2 * n + 1
+    lows, highs = state[n : 2 * n], state[2 * n :]
+    forced, first, moves = None, stride * stride, []
+    for j, low, high in zip(range(n), lows, highs):
+        if high - low == n or low * stride + high in goal:
             continue
-        _, _, left_high, left_mid, left_right = stack.pop()
-        right, right_low, high, right_mid, _ = stack.pop()
-        if left_high > label and label * stride + left_high not in goal:
-            made = (left_mid + 1) * stride + high
-            if made not in goal:
-                moves.append((i + 1, left_right - 1))
-            else:  # every node tested before lies past i + 1
-                forced = i + 1, left_right - 1
-        if high > right_low and right_low * stride + high not in goal:
-            made = label * stride + right_mid
-            if made not in goal:
-                moves.append((right, i + 1))
-            elif forced is None or right < forced[0]:
-                forced = right, i + 1
-        stack.append((i, label, high, left_high, right))
+        if high < n and lows[high] == low:
+            made = (j + 1) * stride + highs[high]
+        else:
+            made = lows[low - 1] * stride + j
+        if made not in goal:
+            moves.append(j)
+        elif low * stride - high < first:
+            forced, first = j, low * stride - high
     return forced, moves
+
+
+def _turned(state, j: int):
+    """Rotate node j over its parent p in ``state``, a thawed copy of a
+    search state, and return it: four edits, the two runs that j's lower
+    bound leaves and joins and one bound each of j and p."""
+    n = len(state) // 3
+    low, high = state[n + j], state[2 * n + j]
+    state[low] -= 1
+    if high < n and state[n + high] == low:  # left child of p = high: j gains p's upper
+        state[j + 1] += 1
+        state[n + high], state[2 * n + j] = j + 1, state[2 * n + high]
+    else:  # right child of p = low - 1: j gains p's lower
+        up = state[n + low - 1]
+        state[up] += 1
+        state[n + j], state[2 * n + low - 1] = up, j
+    return state
 
 
 def _pair_views(pair) -> tuple:

@@ -52,7 +52,7 @@ from treepairs import (
     word_scan,
 )
 from treepairs.cli import _verdict
-from treepairs.rotations import _toward
+from treepairs.rotations import _rotated, _state, _toward, _turned
 from treepairs.words import _rotation_rows
 
 DIFFICULT_NINE = ("1110110011100100000", "1010110010110110000")
@@ -216,16 +216,18 @@ class TestDistance:
         [
             (("101101110010100010100", "111110100001101100000"), 14, 1093),
             (("11101011100000101100100", "11010110110110100100000"), 15, 1419),
+            # sample_difficult_pair(13, random.Random(10))
+            (("110011001101110110011000000", "111011100110100000111010000"), 19, 21955),
         ],
     )
     def test_least_state_budget_is_pinned(self, pair, distance, least, monkeypatch):
-        # the fewest stored words under which the search still returns pins
+        # the fewest stored states under which the search still returns pins
         # the order in which it pops and pushes, not only its answer
         monkeypatch.setattr(treepairs.rotations, "STATE_BUDGET", least)
-        assert exact_distance(pair) == distance
+        assert exact_distance(pair, max_size=13) == distance
         monkeypatch.setattr(treepairs.rotations, "STATE_BUDGET", least - 1)
         with pytest.raises(SizeGuardExceededError):
-            exact_distance(pair)
+            exact_distance(pair, max_size=13)
 
     @pytest.mark.parametrize("goal_from", ["random tree", "rotated word"])
     @given(tree_words(min_size=1, max_size=40), st.randoms(use_true_random=False))
@@ -238,11 +240,39 @@ class TestDistance:
         else:
             t = rotate(word, rng.choice(internal)) if internal else word
         goal = {key for _, _, key, _ in _rotation_rows(word_scan(t))}
-        rows = list(_rotation_rows(word_scan(word)))
-        forced = next(((i, j) for i, j, key, made in rows if key not in goal and made in goal), None)
-        free = sorted((i, j) for i, j, key, made in rows if key not in goal and made not in goal)
-        found, moves = _toward(str(word), goal)
+        scan = word_scan(word)
+        rows = [(scan.upper[i + 1], key, made) for i, _, key, made in _rotation_rows(scan)]
+        # the '1' at word index i is in-order node upper[i + 1]; rows keep word order
+        forced = next((j for j, key, made in rows if key not in goal and made in goal), None)
+        free = sorted(j for j, key, made in rows if key not in goal and made not in goal)
+        found, moves = _toward(bytes(_state(str(word), scan)), goal)
         assert (found, sorted(moves)) == (forced, free)
+
+    @given(tree_pairs(min_size=1, max_size=12))
+    def test_states_sort_as_their_words(self, pair):
+        s, t = (str(word) for word in pair)
+        a, b = (bytes(_state(word, word_scan(word))) for word in (s, t))
+        assert (a > b) - (a < b) == (s > t) - (s < t)
+
+    @given(tree_words(min_size=1, max_size=40))
+    def test_state_rotation_matches_the_rotated_word(self, word):
+        scan = word_scan(word)
+        state = _state(str(word), scan)
+        for i, target, _, _ in _rotation_rows(scan):
+            rotated = _rotated(str(word), i, target)
+            expected = _state(rotated, word_scan(rotated))
+            for thaw in (bytearray, list):
+                assert list(_turned(thaw(state), scan.upper[i + 1])) == expected
+
+    def test_labels_past_a_byte(self):
+        # a byte holds no label of 256 or more, so these states are tuples
+        left, right = "1" * 300 + "0" * 301, "10" * 300 + "0"
+        assert exact_distance((left, right), max_size=300) == 299
+        assert exact_distance((right, left), max_size=300) == 299
+        word = remy_sample(300, random.Random(0))
+        last = word.rfind("1")  # a non-root node whose in-order id is past 255
+        assert word_scan(word).upper[last + 1] > 255
+        assert exact_distance((word, rotate(word, last)), max_size=300) == 1
 
     def test_state_budget(self, monkeypatch):
         pair = sample_difficult_pair(10, random.Random(1))
