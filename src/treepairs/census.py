@@ -40,10 +40,10 @@ _PRIMITIVE_PAIRS = (
 
 
 def catalan(n: int) -> int:
-    """Number of extended ordered binary trees with ``n`` internal nodes."""
+    """Number of extended ordered binary trees with ``n`` internal nodes, for n <= 10**5."""
     _require_count(n, "size")
-    if 2 * n > sys.maxsize:  # math.comb raises OverflowError past it
-        raise SizeGuardExceededError(f"Catalan({n}) is too large to compute")
+    if n > 10**5:  # the guard on work: 0.5 s at 10**5, 33 s at 10**6 (2 vCPU, Python 3.11)
+        raise SizeGuardExceededError(f"Catalan({n}) is past the size cap 10**5")
     return math.comb(2 * n, n) // (n + 1)
 
 

@@ -11,7 +11,8 @@ meaningful across two different words.
 Everything here is an immutable value and every function is pure, so the
 whole module is safe for unrestricted concurrent use.  Queries run off one
 right-to-left pass over the word (``word_scan``) that yields parents, subtree
-extents and interval bounds for every node; it alone decides what a word is.
+extents and interval bounds for every node, each '1' reading its children
+off the extents by the pre-order rule; it alone decides what a word is.
 One kernel (``_rotation_rows``) reads every rotation off a scan: where the
 rotated node's '1' moves, the interval it loses and the one it creates,
 each keyed lower * len(word) + upper, the one interval-key frame of the
@@ -97,8 +98,9 @@ class WordScan(NamedTuple):
 
 def word_scan(word: str) -> WordScan:
     """Compute parents, subtree extents and interval bounds for every node in
-    one right-to-left pass over a stack of subtree roots, raising
-    ``MalformedWordError`` unless ``word`` is a tree word."""
+    one right-to-left pass, raising ``MalformedWordError`` unless ``word``
+    is a tree word.  The '1' at i has its left child at i + 1 and its right
+    child where that subtree ends, and both are scanned before it."""
     if not isinstance(word, str):
         raise MalformedWordError(f"a tree word is a str, not {type(word).__name__}")
     ones = word.count("1")
@@ -111,26 +113,23 @@ def word_scan(word: str) -> WordScan:
         )
     length = len(word)
     parents = [-1] * length
-    ends = [0] * length
+    ends = [0] * length + [length]  # a '1' whose right child starts here has none
     lowers = [0] * length
     uppers = [0] * length
     label = zeros
-    roots = []
     for i in range(length - 1, -1, -1):
         if word[i] == "0":
             label -= 1
             lowers[i] = uppers[i] = label
             ends[i] = i + 1
-        elif len(roots) < 2:
+        elif (right := ends[i + 1]) == length:
             raise MalformedWordError(f"subtree closes before the word ends: {word!r}")
         else:
-            left, right = roots.pop(), roots.pop()  # the nearest root is the left child
-            parents[left] = parents[right] = i
+            parents[i + 1] = parents[right] = i
             lowers[i] = label
             uppers[i] = uppers[right]
             ends[i] = ends[right]
-        roots.append(i)
-    return WordScan(tuple(parents), tuple(ends), tuple(lowers), tuple(uppers))
+    return WordScan(tuple(parents), tuple(ends[:length]), tuple(lowers), tuple(uppers))
 
 
 def _is_int(value) -> bool:

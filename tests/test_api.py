@@ -118,6 +118,7 @@ BAD_CALLS = [
     (enumerate_difficult_pairs, ("3",), SizeTooSmallError),
     (enumerate_trees, (2**64, 2**64), SizeGuardExceededError),
     (enumerate_difficult_pairs, (2**64, 2**64), SizeGuardExceededError),
+    (catalan, (2**40,), SizeGuardExceededError),
     (catalan, (2**70,), SizeGuardExceededError),
     (reduction_profile, (-1, 2, RNG), SizeTooSmallError),
     (reduction_profile, (5, -3, RNG), SizeTooSmallError),

@@ -42,12 +42,18 @@ class TestParse:
         with pytest.raises(MalformedWordError):
             parse_word(bad)
 
+    @pytest.mark.parametrize("bad", ["010", "001", "01100", "10010", "1100010"])
+    def test_a_one_with_no_right_child(self, bad):
+        # one more '0' than '1', so only the missing right child is wrong
+        with pytest.raises(MalformedWordError, match="^subtree closes before the word ends: "):
+            word_scan(bad)
+
 
 def test_parse_accepts_exactly_the_enumerated_words():
-    # every {0,1} string up to length 13 against the census of sizes 0..6
-    trees = {w for n in range(7) for w in enumerate_trees(n)}
+    # every {0,1} string up to length 15 against the census of sizes 0..7
+    trees = {w for n in range(8) for w in enumerate_trees(n)}
     accepted = set()
-    for length in range(14):
+    for length in range(16):
         for symbols in product("01", repeat=length):
             word = "".join(symbols)
             try:
